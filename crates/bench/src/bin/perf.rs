@@ -28,9 +28,7 @@
 //! may be at most `--threshold` percent (default 10) below the
 //! baseline's. Exits non-zero on any violation.
 
-use gramer::{
-    preprocess, EpochMode, GramerConfig, MemoMode, RunReport, Simulator, MAX_SIM_THREADS,
-};
+use gramer::{preprocess, GramerConfig, MemoMode, RunReport, Simulator, MAX_SIM_THREADS};
 use gramer_bench::perf;
 use gramer_graph::{generate, CsrGraph};
 use gramer_mining::apps::{CliqueFinding, MotifCounting};
@@ -43,11 +41,6 @@ struct Cell {
     name: &'static str,
     graph: CsrGraph,
     app: Box<dyn DynPerfApp>,
-    /// Engine the cell is pinned to (overridable with `--epoch`): the
-    /// headline cells run the epoch-batched default, and a smaller
-    /// reference cell keeps the `--epoch=off` interleaving on the
-    /// trajectory so the engines' relative cost stays measured.
-    epoch: EpochMode,
     /// Memo-table mode the cell is pinned to (overridable with
     /// `--memo`). The memo-on cell and its same-graph `--memo off`
     /// control measure the pair-memo's wall-clock and simulated-cycle
@@ -85,14 +78,12 @@ fn cells(quick: bool) -> Vec<Cell> {
             name: "BA(3000,4)x4-CF",
             graph: generate::barabasi_albert(3000 / scale, 4, 71),
             app: Box::new(CliqueFinding::new(4).expect("valid k")),
-            epoch: EpochMode::On,
             memo: MemoMode::Off,
         },
         Cell {
             name: "RMAT(13)x3-MC",
             graph: generate::rmat(13 - (quick as u32) * 2, 40_000 / scale, rmat_params, 7),
             app: Box::new(MotifCounting::new(3).expect("valid k")),
-            epoch: EpochMode::On,
             memo: MemoMode::Off,
         },
         // The same R-MAT x 3-MC workload with the pair memo on: together
@@ -102,20 +93,9 @@ fn cells(quick: bool) -> Vec<Cell> {
             name: "RMAT(13)x3-MC@memo",
             graph: generate::rmat(13 - (quick as u32) * 2, 40_000 / scale, rmat_params, 7),
             app: Box::new(MotifCounting::new(3).expect("valid k")),
-            epoch: EpochMode::On,
             memo: MemoMode::On {
                 bytes: gramer_mining::DEFAULT_MEMO_BYTES,
             },
-        },
-        // Smaller reference cell pinned to the non-epoch interleaving:
-        // keeps `--epoch=off` on the measured trajectory without letting
-        // the slower engine dominate the blended total.
-        Cell {
-            name: "RMAT(11)x3-MC@epoch-off",
-            graph: generate::rmat(11 - (quick as u32) * 2, 10_000 / scale, rmat_params, 7),
-            app: Box::new(MotifCounting::new(3).expect("valid k")),
-            epoch: EpochMode::Off,
-            memo: MemoMode::Off,
         },
     ]
 }
@@ -158,7 +138,6 @@ fn main() -> ExitCode {
     let mut check = false;
     let mut baseline_path = std::path::PathBuf::from("results/BENCH_core.json");
     let mut threshold = 10.0f64;
-    let mut epoch_override: Option<EpochMode> = None;
     let mut memo_override: Option<MemoMode> = None;
     let mut sim_threads = 1usize;
     let mut it = args.iter();
@@ -194,13 +173,6 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
             },
-            "--epoch" => match it.next().and_then(|v| v.parse::<EpochMode>().ok()) {
-                Some(mode) => epoch_override = Some(mode),
-                None => {
-                    eprintln!("--epoch requires \"on\" or \"off\"");
-                    return ExitCode::from(2);
-                }
-            },
             "--memo" => match it.next().and_then(|v| v.parse::<MemoMode>().ok()) {
                 Some(mode) => memo_override = Some(mode),
                 None => {
@@ -220,7 +192,7 @@ fn main() -> ExitCode {
                     "perf — pinned simulator-throughput workload\n\
                      usage: perf [--json PATH] [--quick] [--repeats N]\n\
                      \x20           [--check] [--baseline PATH] [--threshold PCT]\n\
-                     \x20           [--epoch on|off] [--memo on|off|BYTES] [--sim-threads N]"
+                     \x20           [--memo on|off|BYTES] [--sim-threads N]"
                 );
                 return ExitCode::SUCCESS;
             }
@@ -242,7 +214,6 @@ fn main() -> ExitCode {
         // win) — the knob is recorded in the document and handed to the
         // config so its validation path stays on the trajectory.
         let cfg = GramerConfig {
-            epoch: epoch_override.unwrap_or(cell.epoch),
             memo: memo_override.unwrap_or(cell.memo),
             sim_threads,
             ..GramerConfig::default()
@@ -287,10 +258,6 @@ fn main() -> ExitCode {
         let report = first.expect("repeats >= 1");
         let runs = perf::WorkloadRuns {
             name: cell.name,
-            epoch: match cfg.epoch {
-                EpochMode::On => "on",
-                EpochMode::Off => "off",
-            },
             sim_threads: sim_threads as u64,
             memo: match cfg.memo {
                 MemoMode::Off => "off".to_string(),

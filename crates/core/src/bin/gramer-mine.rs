@@ -6,9 +6,8 @@
 //!             --app <3-cf|4-cf|5-cf|3-mc|4-mc|fsm:<t>>[,<app>...]
 //!             [--query SPEC|@FILE]
 //!             [--cache DIR] [--pus N] [--slots N] [--tau F] [--budget-frac F]
-//!             [--lambda F] [--no-steal] [--access-path fast|exact]
-//!             [--epoch on|off] [--sim-threads N] [--memo on|off|BYTES]
-//!             [--adaptive-lambda] [--repin] [--counts]
+//!             [--lambda F] [--no-steal] [--sim-threads N]
+//!             [--memo on|off|BYTES] [--adaptive-lambda] [--repin] [--counts]
 //!             [--json PATH] [--metrics-out PATH] [--metrics-summary]
 //!             [--metrics-window N]
 //! ```
@@ -46,17 +45,13 @@
 //! of `RunReport` documents (list order), and the `--metrics-*` flags are
 //! rejected: telemetry attaches to exactly one simulation.
 //!
-//! `--epoch off` selects the reference event-queue interleaving instead of
-//! the default epoch-batched engine — also host-side only, bit-identical
-//! either way (the golden-matrix tests assert it).
-//!
 //! `--memo on` (or `--memo BYTES` for an explicit byte budget) enables the
 //! recurrent-pattern memo: a byte-budgeted LRU table that caches pairwise
 //! connectivity-probe outcomes so repeated sub-pattern checks skip their
-//! memory accesses, at a modeled lookup cost. Unlike the host-side knobs
-//! above this is a *model* change: cycles, memory statistics and energy
-//! move (that is the point), while mined embeddings and pattern counts
-//! stay bit-identical. The default `--memo off` is the exact reference
+//! memory accesses, at a modeled lookup cost. Unlike the host-side
+//! `--sim-threads` knob above this is a *model* change: cycles, memory
+//! statistics and energy move (that is the point), while mined
+//! embeddings and pattern counts stay bit-identical. The default `--memo off` is the exact reference
 //! path. `--adaptive-lambda` ratchets the locality-preserved policy's λ
 //! online when the windowed hit rate trends down; `--repin` rebuilds the
 //! scratchpad pin set from observed access frequencies when the ON1
@@ -73,8 +68,8 @@
 //! pruned before enumeration, every examined extension pays one modeled
 //! filter probe, and the report gains a gated `query` stats block
 //! (admitted/probes/rejects). Mined matches are bit-identical to the
-//! unfiltered brute-force run of the same query (the query-matrix tests
-//! assert it); cycles and energy reflect the pruned space plus the
+//! unfiltered brute-force run of the same query (`tests/query.rs`
+//! asserts it); cycles and energy reflect the pruned space plus the
 //! honest probe cost.
 //!
 //! `--metrics-out PATH` records cycle-windowed telemetry during the run
@@ -117,7 +112,7 @@ fn usage() -> ! {
         "usage: gramer-mine <edge-list | --demo | --artifact PATH> \
          --app <3-cf|4-cf|5-cf|3-mc|4-mc|fsm:<t>>[,<app>...] \\\n         [--query SPEC|@FILE] \
          [--cache DIR] \
-         [--pus N] [--slots N] [--tau F] [--budget-frac F] [--lambda F] [--no-steal] \\\n         [--access-path fast|exact] [--epoch on|off] [--sim-threads N] \\\n         [--memo on|off|BYTES] [--adaptive-lambda] [--repin] [--counts] \\\n         [--json PATH] [--metrics-out PATH] [--metrics-summary] [--metrics-window N]"
+         [--pus N] [--slots N] [--tau F] [--budget-frac F] [--lambda F] [--no-steal] \\\n         [--sim-threads N] [--memo on|off|BYTES] [--adaptive-lambda] [--repin] [--counts] \\\n         [--json PATH] [--metrics-out PATH] [--metrics-summary] [--metrics-window N]"
     );
     std::process::exit(2)
 }
@@ -164,19 +159,6 @@ fn parse_args() -> Options {
             }
             "--lambda" => opts.config.lambda = parse_float(&value("--lambda")),
             "--no-steal" => opts.config.work_stealing = false,
-            "--access-path" => {
-                opts.config.access_path =
-                    value("--access-path").parse().unwrap_or_else(|e: String| {
-                        eprintln!("{e}");
-                        usage()
-                    })
-            }
-            "--epoch" => {
-                opts.config.epoch = value("--epoch").parse().unwrap_or_else(|e: String| {
-                    eprintln!("{e}");
-                    usage()
-                })
-            }
             "--sim-threads" => sim_threads = Some(parse_num(&value("--sim-threads"))),
             "--memo" => {
                 opts.config.memo = value("--memo").parse().unwrap_or_else(|e: String| {

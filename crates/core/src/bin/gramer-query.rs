@@ -4,7 +4,6 @@
 //! ```text
 //! gramer-query [--gen SPEC | <edge-list>] [--labels K:SEED]
 //!              --query SPEC|@FILE [--pus N] [--slots N]
-//!              [--access-path fast|exact] [--epoch on|off]
 //!              [--memo on|off|BYTES] [--json PATH]
 //! ```
 //!
@@ -49,8 +48,7 @@ struct Options {
 fn usage() -> ! {
     eprintln!(
         "usage: gramer-query [--gen SPEC | <edge-list>] [--labels K:SEED] \
-         --query SPEC|@FILE \\\n         [--pus N] [--slots N] [--access-path fast|exact] \
-         [--epoch on|off] [--memo on|off|BYTES] [--json PATH]"
+         --query SPEC|@FILE \\\n         [--pus N] [--slots N] [--memo on|off|BYTES] [--json PATH]"
     );
     std::process::exit(2)
 }
@@ -101,19 +99,6 @@ fn parse_args() -> Options {
             "--slots" => {
                 opts.config.slots_per_pu = value("--slots").parse().unwrap_or_else(|_| {
                     eprintln!("--slots expects an integer");
-                    usage()
-                })
-            }
-            "--access-path" => {
-                opts.config.access_path =
-                    value("--access-path").parse().unwrap_or_else(|e: String| {
-                        eprintln!("{e}");
-                        usage()
-                    })
-            }
-            "--epoch" => {
-                opts.config.epoch = value("--epoch").parse().unwrap_or_else(|e: String| {
-                    eprintln!("{e}");
                     usage()
                 })
             }

@@ -1,3 +1,11 @@
+//! Accelerator configuration.
+//!
+//! [`GramerConfig`] holds the modeled hardware parameters (PUs, slots,
+//! memory budget and organisation, latencies, the pair memo) plus two
+//! host-side fields that never change a simulated quantity:
+//! `sim_threads` (cell-level parallelism) and `access_path` (the memory
+//! model's fast lane or its exact reference).
+
 use crate::error::ConfigError;
 use gramer_memsim::{AccessPath, DramConfig, LatencyConfig};
 
@@ -47,78 +55,11 @@ pub enum MemoryMode {
     UniformLru,
 }
 
-/// Which event-queue implementation drives the simulator's inner loop.
-///
-/// Purely a *host-side* choice: both queues pop events in the identical
-/// total order (strictly ascending `(time, slot)`), so simulated cycle
-/// counts, memory statistics and mining results are scheduler-invariant —
-/// a guarantee enforced by the golden-config equivalence tests. The
-/// calendar queue is the fast default; the heap is retained as a
-/// cross-check (`--scheduler=heap` in the experiment bins).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Scheduler {
-    /// Calendar/bucket queue: O(1) push/pop for near-future events.
-    #[default]
-    Calendar,
-    /// Binary min-heap: the reference implementation.
-    Heap,
-}
-
-impl std::str::FromStr for Scheduler {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "calendar" => Ok(Scheduler::Calendar),
-            "heap" => Ok(Scheduler::Heap),
-            other => Err(format!(
-                "unknown scheduler {other:?} (expected \"calendar\" or \"heap\")"
-            )),
-        }
-    }
-}
-
-/// Whether the simulator's inner loop runs the epoch-batched engine.
-///
-/// Like [`Scheduler`] and [`AccessPath`], purely a *host-side* choice:
-/// the epoch engine drains each simulated cycle's pending slot work in
-/// cache-friendly per-PU batches and lets a lone runnable slot advance
-/// without queue traffic under a conservative horizon, but executes the
-/// exact same `(time, slot)` sequence as the reference interleaving.
-/// Every simulated quantity is bit-identical either way — proven by the
-/// `epoch_matches_interleaved` property test and the golden matrix.
-/// `Off` keeps the reference event-queue interleaving reachable,
-/// mirroring `--access-path=exact`; the [`Scheduler`] knob selects the
-/// reference queue implementation only in that mode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EpochMode {
-    /// Epoch-batched per-PU execution: the fast default.
-    #[default]
-    On,
-    /// Reference event-queue interleaving (escape hatch).
-    Off,
-}
-
-impl std::str::FromStr for EpochMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "on" => Ok(EpochMode::On),
-            "off" => Ok(EpochMode::Off),
-            other => Err(format!(
-                "unknown epoch mode {other:?} (expected \"on\" or \"off\")"
-            )),
-        }
-    }
-}
-
 /// Recurrent-pattern memoization of the pairwise connectivity probe.
 ///
-/// Unlike [`Scheduler`] / [`AccessPath`] / [`EpochMode`], this is a
-/// *modeled hardware structure*, not a host-side engine choice: enabling
-/// it legitimately changes simulated cycles, memory statistics and DRAM
-/// traffic (a memo hit skips one vertex access and two edge probes and
+/// Unlike [`AccessPath`], this is a *modeled hardware structure*, not a
+/// host-side engine choice: enabling it legitimately changes simulated
+/// cycles, memory statistics and DRAM traffic (a memo hit skips one vertex access and two edge probes and
 /// pays a modeled lookup instead). Mined results — embeddings, candidate
 /// counts, pattern counts — are bit-identical either way, because the
 /// memo caches a pure function of the immutable graph. `Off` is the
@@ -219,18 +160,12 @@ pub struct GramerConfig {
     pub setup_seconds: f64,
     /// Host-to-card transfer bandwidth in bytes/second (PCIe Gen3 x16).
     pub pcie_bandwidth: f64,
-    /// Event-queue implementation of the simulator's inner loop. Affects
-    /// host throughput only, never simulated results (see [`Scheduler`]).
-    pub scheduler: Scheduler,
-    /// Timed-access engine of the memory subsystem. Like [`Scheduler`], a
-    /// host-side choice only: the fast path is bit-exact against the
-    /// exact path on every simulated quantity (`--access-path=exact` in
-    /// the experiment bins selects the reference machinery).
+    /// Timed-access engine of the memory subsystem. A library-level
+    /// reference switch, not a product knob: the default fast path is
+    /// bit-exact against [`AccessPath::Exact`] on every simulated
+    /// quantity, and the equivalence tests use `Exact` as their
+    /// reference.
     pub access_path: AccessPath,
-    /// Inner-loop engine: epoch-batched per-PU execution (default) or
-    /// the reference event-queue interleaving. Host throughput only,
-    /// never simulated results (see [`EpochMode`]).
-    pub epoch: EpochMode,
     /// Host threads for running *independent* simulation cells in
     /// parallel (see [`crate::shard`]). A single simulation cell is
     /// always executed serially, so this knob never affects simulated
@@ -278,9 +213,7 @@ impl Default for GramerConfig {
             next_line_prefetch: false,
             setup_seconds: 5e-3,
             pcie_bandwidth: 12e9,
-            scheduler: Scheduler::default(),
             access_path: AccessPath::default(),
-            epoch: EpochMode::default(),
             sim_threads: 1,
             memo: MemoMode::Off,
             adaptive_lambda: false,
@@ -453,14 +386,6 @@ mod tests {
             ..GramerConfig::default()
         };
         ok.validate().unwrap();
-    }
-
-    #[test]
-    fn epoch_mode_parses() {
-        assert_eq!("on".parse::<EpochMode>(), Ok(EpochMode::On));
-        assert_eq!("off".parse::<EpochMode>(), Ok(EpochMode::Off));
-        assert!("fast".parse::<EpochMode>().is_err());
-        assert_eq!(EpochMode::default(), EpochMode::On);
     }
 
     #[test]

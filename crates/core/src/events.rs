@@ -1,88 +1,20 @@
-//! Event queues for the discrete-event simulator.
+//! The slot calendar behind the simulator's event engine.
 //!
-//! The simulator's inner loop pops the earliest `(time, slot)` event,
-//! executes one slot-step, and pushes the slot's next event a few cycles
-//! ahead. A binary heap makes both ends O(log n); but simulation time
-//! advances monotonically and nearly every push lands within a few
-//! hundred cycles of "now" (port queueing, cache latencies, the 32-cycle
-//! idle retry, DRAM ≈ 40 cycles), which is exactly the access pattern
-//! calendar queues (R. Brown, CACM 1988 — the structure behind gem5-style
-//! event schedulers) turn into O(1) pops and pushes: a ring of per-cycle
-//! buckets holds the near future, and a small overflow heap holds the far
-//! future.
+//! The simulator's inner loop executes `(time, slot)` events in strictly
+//! ascending `(time, slot-id)` order — the order a binary min-heap of
+//! `(time, id)` pairs would pop them. Simulation time advances
+//! monotonically and nearly every event lands within a few hundred
+//! cycles of "now" (port queueing, cache latencies, the 32-cycle idle
+//! retry, DRAM ≈ 40 cycles), so [`SlotCalendar`] keeps the near future as
+//! a ring of per-cycle buckets (a calendar queue in the sense of R. Brown,
+//! CACM 1988) and spills rarer far-future events into a small heap.
 //!
-//! Both implementations here are *totally-order equivalent*: they pop
-//! events in exactly the order `BinaryHeap<Reverse<(u64, u32)>>` would —
-//! strictly increasing `(time, slot-id)` — so swapping one for the other
-//! cannot change a single simulated cycle. This is asserted by
-//! property tests below and by the golden-config scheduler-equivalence
-//! test in `tests/golden.rs`.
+//! A plain binary heap holding every pending event is the test oracle:
+//! the lockstep tests below pin the calendar's pop order against it, and
+//! `Simulator::run_oracle` drives a whole simulation through one.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-
-/// Minimum-first queue of `(time, id)` events.
-///
-/// Implementations must pop in strictly ascending `(time, id)` order and
-/// may assume pushed times are never below the last popped time (event
-/// time never flows backwards in the simulator).
-pub trait EventQueue {
-    /// Enqueues an event.
-    fn push(&mut self, time: u64, id: u32);
-    /// Dequeues the earliest event, ties broken by smallest `id`.
-    fn pop(&mut self) -> Option<(u64, u32)>;
-    /// Number of pending events — the telemetry layer's event-queue-depth
-    /// gauge. Both implementations count identically (the queues are
-    /// totally-order equivalent), so sampled depths are scheduler-choice
-    /// invariant.
-    fn len(&self) -> usize;
-    /// Whether no events are pending.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-    /// Enqueues `(time, id)` and immediately dequeues the earliest event
-    /// — the simulator loop's dominant pattern (nearly every slot-step
-    /// ends by scheduling the slot's next event and popping again).
-    ///
-    /// Must behave exactly like `push(time, id)` followed by
-    /// `pop().unwrap()` (the pop cannot miss: an event was just pushed).
-    /// Implementations may override it to bypass their structures when
-    /// the pushed event is provably the next one out — the zero-delay
-    /// lane of the calendar queue.
-    #[inline]
-    fn push_pop(&mut self, time: u64, id: u32) -> (u64, u32) {
-        self.push(time, id);
-        match self.pop() {
-            Some(e) => e,
-            // An event was pushed right above; the queue cannot be empty.
-            None => unreachable!("queue lost an event between push and pop"),
-        }
-    }
-}
-
-/// The reference implementation: a plain binary min-heap. Kept as the
-/// `Scheduler::Heap` cross-check.
-#[derive(Debug, Default)]
-pub struct HeapQueue {
-    heap: BinaryHeap<Reverse<(u64, u32)>>,
-}
-
-impl EventQueue for HeapQueue {
-    #[inline]
-    fn push(&mut self, time: u64, id: u32) {
-        self.heap.push(Reverse((time, id)));
-    }
-
-    #[inline]
-    fn pop(&mut self) -> Option<(u64, u32)> {
-        self.heap.pop().map(|Reverse(e)| e)
-    }
-
-    #[inline]
-    fn len(&self) -> usize {
-        self.heap.len()
-    }
-}
 
 /// Number of near-future buckets (must be a power of two). Covers the
 /// simulator's common inter-event gaps (on-chip latencies, the 32-cycle
@@ -90,205 +22,8 @@ impl EventQueue for HeapQueue {
 /// the window spill into the far heap and migrate in as time advances.
 const HORIZON: u64 = 256;
 
-/// Calendar/bucket queue: O(1) push and pop for the near-future events
-/// that dominate the simulator.
-///
-/// Invariants:
-/// * `cur` is the time of the bucket currently draining; all events with
-///   `time < cur` have been popped.
-/// * every pending event with `time < cur + HORIZON` sits in
-///   `buckets[time % HORIZON]`; later events sit in `far`.
-/// * `active` holds the already-sorted ids for time `cur`, drained from
-///   `active_pos`; a same-time push lands in the bucket and is merged
-///   (sorted) into the remaining tail on the next pop, preserving the
-///   global `(time, id)` pop order even for re-pushed ids.
-#[derive(Debug)]
-pub struct CalendarQueue {
-    cur: u64,
-    buckets: Vec<Vec<u32>>,
-    /// Occupancy bitset over `buckets` (bit `b` set iff `buckets[b]` is
-    /// non-empty): advancing time is a word-level bit scan instead of a
-    /// walk over up to `HORIZON` bucket headers.
-    occ: [u64; (HORIZON as usize) / 64],
-    active: Vec<u32>,
-    active_pos: usize,
-    far: BinaryHeap<Reverse<(u64, u32)>>,
-    len: usize,
-}
-
-impl Default for CalendarQueue {
-    fn default() -> Self {
-        CalendarQueue {
-            cur: 0,
-            buckets: (0..HORIZON).map(|_| Vec::new()).collect(),
-            occ: [0; (HORIZON as usize) / 64],
-            active: Vec::new(),
-            active_pos: 0,
-            far: BinaryHeap::new(),
-            len: 0,
-        }
-    }
-}
-
-impl CalendarQueue {
-    #[inline]
-    fn bucket_of(&self, time: u64) -> usize {
-        (time & (HORIZON - 1)) as usize
-    }
-
-    /// Moves far-heap events now inside the near window into buckets.
-    fn refill_near(&mut self) {
-        let end = self.cur + HORIZON;
-        while let Some(&Reverse((t, _))) = self.far.peek() {
-            if t >= end {
-                break;
-            }
-            let Some(Reverse((t, id))) = self.far.pop() else {
-                break;
-            };
-            let b = self.bucket_of(t);
-            self.buckets[b].push(id);
-            self.occ[b >> 6] |= 1 << (b & 63);
-        }
-    }
-
-    /// Earliest non-empty bucket time in `(cur, cur + HORIZON)`, if any.
-    ///
-    /// A bucket position is `time & (HORIZON - 1)`, so within the window
-    /// each set occupancy bit maps back to a unique time; the scan starts
-    /// at `cur + 1`'s position and wraps. `cur`'s own bucket is always
-    /// empty here (the pop loop merges it before advancing), so revisiting
-    /// its word on the wrapped pass cannot produce a false hit.
-    fn next_near(&self) -> Option<u64> {
-        const WORDS: usize = (HORIZON as usize) / 64;
-        let base = ((self.cur + 1) & (HORIZON - 1)) as usize;
-        let mut idx = base >> 6;
-        let mut w = self.occ[idx] & (!0u64 << (base & 63));
-        for _ in 0..=WORDS {
-            if w != 0 {
-                let pos = (idx << 6) | w.trailing_zeros() as usize;
-                let off = (pos + HORIZON as usize - base) & (HORIZON as usize - 1);
-                return Some(self.cur + 1 + off as u64);
-            }
-            idx = (idx + 1) % WORDS;
-            w = self.occ[idx];
-        }
-        None
-    }
-}
-
-impl EventQueue for CalendarQueue {
-    /// Zero-delay lane: when the freshly pushed event is provably the
-    /// next pop — nothing left at `cur` (active list drained, `cur`'s
-    /// bucket empty, so no same-time smaller id can precede it), no other
-    /// bucket holds an earlier time, and the far heap's minimum is
-    /// strictly later — the event never touches a bucket: time jumps
-    /// straight to it.
-    ///
-    /// The jump preserves the queue invariants: every surviving bucket
-    /// event has a time in `(time, old_cur + HORIZON)`, which stays
-    /// inside the new window `[time, time + HORIZON)` (so its
-    /// `time % HORIZON` slot remains valid), and a far heap whose minimum
-    /// lies inside the new window is already a handled state — `pop`'s
-    /// advance step always consults `far` and refills the near window.
-    #[inline]
-    fn push_pop(&mut self, time: u64, id: u32) -> (u64, u32) {
-        debug_assert!(
-            time >= self.cur,
-            "event time flowed backwards: {time} < {}",
-            self.cur
-        );
-        if self.active_pos >= self.active.len()
-            && self.buckets[self.bucket_of(self.cur)].is_empty()
-            && self.next_near().unwrap_or(u64::MAX) > time
-            && self.far.peek().map_or(u64::MAX, |&Reverse((t, _))| t) > time
-        {
-            self.cur = time;
-            return (time, id);
-        }
-        self.push(time, id);
-        match self.pop() {
-            Some(e) => e,
-            None => unreachable!("queue lost an event between push and pop"),
-        }
-    }
-
-    #[inline]
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    #[inline]
-    fn push(&mut self, time: u64, id: u32) {
-        debug_assert!(
-            time >= self.cur,
-            "event time flowed backwards: {time} < {}",
-            self.cur
-        );
-        self.len += 1;
-        if time < self.cur + HORIZON {
-            let b = self.bucket_of(time);
-            self.buckets[b].push(id);
-            self.occ[b >> 6] |= 1 << (b & 63);
-        } else {
-            self.far.push(Reverse((time, id)));
-        }
-    }
-
-    fn pop(&mut self) -> Option<(u64, u32)> {
-        if self.len == 0 {
-            return None;
-        }
-        loop {
-            // Merge same-time arrivals (pushed while draining `cur`) into
-            // the sorted remainder so re-pushed ids pop in id order.
-            let b = self.bucket_of(self.cur);
-            if !self.buckets[b].is_empty() {
-                let mut incoming = std::mem::take(&mut self.buckets[b]);
-                for id in incoming.drain(..) {
-                    let tail = &self.active[self.active_pos..];
-                    let at = self.active_pos + tail.partition_point(|&x| x < id);
-                    self.active.insert(at, id);
-                }
-                self.buckets[b] = incoming; // hand the allocation back
-                self.occ[b >> 6] &= !(1 << (b & 63));
-            }
-            if self.active_pos < self.active.len() {
-                let id = self.active[self.active_pos];
-                self.active_pos += 1;
-                self.len -= 1;
-                return Some((self.cur, id));
-            }
-
-            // Time `cur` fully drained: advance to the next event time.
-            self.active.clear();
-            self.active_pos = 0;
-            let far_min = self.far.peek().map(|&Reverse((t, _))| t);
-            let next = match (self.next_near(), far_min) {
-                (Some(tn), Some(tf)) => tn.min(tf),
-                (Some(tn), None) => tn,
-                (None, Some(tf)) => tf,
-                // len > 0 guarantees a pending event somewhere.
-                (None, None) => unreachable!("non-empty queue with no event"),
-            };
-            self.cur = next;
-            self.refill_near();
-            let b = self.bucket_of(self.cur);
-            // Swap rather than take: the drained (cleared) active vector
-            // becomes the bucket's new backing storage, so steady-state
-            // operation recycles allocations instead of freeing one and
-            // mallocing another on every time advance.
-            std::mem::swap(&mut self.active, &mut self.buckets[b]);
-            self.occ[b >> 6] &= !(1 << (b & 63));
-            self.active.sort_unstable();
-            // Loop re-enters with a non-empty active list.
-        }
-    }
-}
-
-/// Slot-indexed calendar for the epoch-batched simulator loop
-/// (`EpochMode::On`): a ring of per-cycle *bitmask* buckets instead of
-/// per-cycle id vectors.
+/// Slot-indexed calendar for the epoch-batched simulator loop: a ring of
+/// per-cycle *bitmask* buckets.
 ///
 /// The simulator guarantees every slot has **at most one pending event**
 /// (a slot's event is popped before its next one is pushed), so a bucket
@@ -299,15 +34,11 @@ impl EventQueue for CalendarQueue {
 /// (4 KiB), small enough to stay L1-resident while the epoch driver
 /// batches a cycle's slot work.
 ///
-/// Unlike [`EventQueue`] implementations, the epoch driver talks to this
-/// structure cycle-at-a-time: [`SlotCalendar::advance`] moves to the
-/// earliest pending cycle (one *epoch*), [`SlotCalendar::take_at_cur`]
-/// drains that cycle's slots in id order, and [`SlotCalendar::peek_time`]
-/// exposes the conservative horizon for the solo-run fast path. A
-/// [`EventQueue`] impl (`pop` = advance + take) is provided so the
-/// lockstep tests can pin the structure against [`HeapQueue`]; it is
-/// only valid for traffic that never holds two pending events with the
-/// same `(time, id)`, which both the simulator and the tests respect.
+/// The epoch driver talks to this structure cycle-at-a-time:
+/// [`SlotCalendar::advance`] moves to the earliest pending cycle (one
+/// *epoch*), [`SlotCalendar::take_at_cur`] drains that cycle's slots in
+/// id order, and [`SlotCalendar::peek_time`] exposes the conservative
+/// horizon for the solo-run fast path.
 #[derive(Debug)]
 pub struct SlotCalendar {
     cur: u64,
@@ -317,7 +48,9 @@ pub struct SlotCalendar {
     /// `bucket * words + (id >> 6)` is set iff slot `id` has a pending
     /// event at the bucket's time.
     masks: Vec<u64>,
-    /// Occupancy bitset over buckets, exactly as in [`CalendarQueue`].
+    /// Occupancy bitset over buckets (bit `b` set iff bucket `b` has a
+    /// pending slot): advancing time is a word-level bit scan instead of
+    /// a walk over up to `HORIZON` buckets.
     occ: [u64; (HORIZON as usize) / 64],
     far: BinaryHeap<Reverse<(u64, u32)>>,
     len: usize,
@@ -405,8 +138,12 @@ impl SlotCalendar {
     }
 
     /// Earliest non-empty bucket time in `(cur, cur + HORIZON)`, if any.
-    /// Identical scan to [`CalendarQueue::next_near`]; callers ensure
-    /// `cur`'s own bucket is empty.
+    ///
+    /// A bucket position is `time & (HORIZON - 1)`, so within the window
+    /// each set occupancy bit maps back to a unique time; the scan starts
+    /// at `cur + 1`'s position and wraps. Callers ensure `cur`'s own
+    /// bucket is empty, so revisiting its word on the wrapped pass cannot
+    /// produce a false hit.
     fn next_near(&self) -> Option<u64> {
         const WORDS: usize = (HORIZON as usize) / 64;
         let base = ((self.cur + 1) & (HORIZON - 1)) as usize;
@@ -496,62 +233,9 @@ impl SlotCalendar {
     }
 }
 
-impl EventQueue for SlotCalendar {
-    #[inline]
-    fn push(&mut self, time: u64, id: u32) {
-        SlotCalendar::push(self, time, id);
-    }
-
-    #[inline]
-    fn pop(&mut self) -> Option<(u64, u32)> {
-        let t = self.advance()?;
-        match self.take_at_cur() {
-            Some(id) => Some((t, id)),
-            // advance() only returns a cycle with pending slots.
-            None => unreachable!("advanced to an empty cycle"),
-        }
-    }
-
-    #[inline]
-    fn len(&self) -> usize {
-        self.len
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Drives both queues through the same script of pushes interleaved
-    /// with pops and asserts identical pop sequences.
-    fn lockstep(script: impl Iterator<Item = (u64, u32)>, pops_between: usize) {
-        let mut heap = HeapQueue::default();
-        let mut cal = CalendarQueue::default();
-        let mut floor = 0u64; // last popped time: pushes must not precede it
-        for (dt, id) in script {
-            let t = floor + dt;
-            heap.push(t, id);
-            cal.push(t, id);
-            assert_eq!(heap.len(), cal.len());
-            for _ in 0..pops_between {
-                let a = heap.pop();
-                let b = cal.pop();
-                assert_eq!(a, b);
-                assert_eq!(heap.len(), cal.len());
-                if let Some((t, _)) = a {
-                    floor = t;
-                }
-            }
-        }
-        loop {
-            let a = heap.pop();
-            let b = cal.pop();
-            assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
-    }
 
     /// Splitmix-style deterministic pseudo-random stream.
     fn rng(seed: u64) -> impl FnMut() -> u64 {
@@ -565,181 +249,39 @@ mod tests {
         }
     }
 
-    #[test]
-    fn matches_heap_on_near_future_traffic() {
-        let mut r = rng(1);
-        let script: Vec<(u64, u32)> = (0..5000).map(|_| (r() % 64, (r() % 128) as u32)).collect();
-        lockstep(script.into_iter(), 1);
+    /// One reference-order pop: advance to the next epoch, take its
+    /// smallest id.
+    fn pop(cal: &mut SlotCalendar) -> Option<(u64, u32)> {
+        let t = cal.advance()?;
+        let id = cal
+            .take_at_cur()
+            .expect("advance() returned an empty cycle");
+        Some((t, id))
     }
 
-    #[test]
-    fn matches_heap_with_far_future_spills() {
-        let mut r = rng(2);
-        let script: Vec<(u64, u32)> = (0..5000)
-            .map(|_| {
-                let dt = if r() % 10 == 0 { r() % 5000 } else { r() % 48 };
-                (dt, (r() % 1024) as u32)
-            })
-            .collect();
-        lockstep(script.into_iter(), 1);
-    }
-
-    #[test]
-    fn matches_heap_with_bursty_same_cycle_ties() {
-        let mut r = rng(3);
-        // Many ties at identical times, popped in batches: exercises the
-        // in-bucket sorted merge and id tie-breaking.
-        let script: Vec<(u64, u32)> = (0..3000).map(|_| (r() % 4, (r() % 16) as u32)).collect();
-        lockstep(script.into_iter(), 2);
-    }
-
-    /// Drives both queues through a mixed script of push / pop /
-    /// push_pop operations and asserts identical observable behaviour.
-    /// `HeapQueue` keeps the trait's default `push_pop` (a literal
-    /// push-then-pop), so this pins the calendar queue's zero-delay
-    /// bypass to the reference semantics across bypass-taken and
-    /// bypass-refused states.
-    fn lockstep_mixed(seed: u64, ops: usize) {
-        let mut r = rng(seed);
-        let mut heap = HeapQueue::default();
-        let mut cal = CalendarQueue::default();
-        let mut floor = 0u64;
-        for _ in 0..ops {
-            match r() % 4 {
-                0 | 1 => {
-                    let t = floor + r() % 96;
-                    let id = (r() % 64) as u32;
-                    heap.push(t, id);
-                    cal.push(t, id);
-                }
-                2 => {
-                    let a = heap.pop();
-                    let b = cal.pop();
-                    assert_eq!(a, b);
-                    if let Some((t, _)) = a {
-                        floor = t;
-                    }
-                }
-                _ => {
-                    // Occasionally jump past the window so the bypass is
-                    // also exercised right after a far-heap refill.
-                    let dt = if r() % 8 == 0 { r() % 2000 } else { r() % 8 };
-                    let id = (r() % 64) as u32;
-                    let a = heap.push_pop(floor + dt, id);
-                    let b = cal.push_pop(floor + dt, id);
-                    assert_eq!(a, b);
-                    floor = a.0;
-                }
-            }
-        }
-        loop {
-            let a = heap.pop();
-            let b = cal.pop();
-            assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
-    }
-
-    #[test]
-    fn push_pop_matches_heap_reference_on_mixed_traffic() {
-        for seed in 0..16 {
-            lockstep_mixed(10 + seed, 4000);
-        }
-    }
-
-    #[test]
-    fn push_pop_bypass_stays_consistent_with_later_traffic() {
-        let mut q = CalendarQueue::default();
-        // Empty queue: the zero-delay lane hands the event straight back.
-        assert_eq!(q.push_pop(42, 7), (42, 7));
-        // A same-time pending event refuses the bypass: (42, 8) still
-        // wins the pop by id order, exactly as a heap would decide.
-        q.push(42, 9);
-        q.push(43, 1);
-        assert_eq!(q.push_pop(42, 8), (42, 8));
-        assert_eq!(q.pop(), Some((42, 9)));
-        assert_eq!(q.pop(), Some((43, 1)));
-        assert_eq!(q.pop(), None);
-        // Bypass far beyond the current window (forces the window to
-        // re-anchor at the handed-back time).
-        assert_eq!(q.push_pop(42 + 7 * HORIZON, 5), (42 + 7 * HORIZON, 5));
-        q.push(42 + 7 * HORIZON + 1, 2);
-        assert_eq!(q.pop(), Some((42 + 7 * HORIZON + 1, 2)));
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn same_time_repush_pops_before_larger_ids() {
-        let mut q = CalendarQueue::default();
-        q.push(5, 3);
-        q.push(5, 7);
-        assert_eq!(q.pop(), Some((5, 3)));
-        // Re-push the popped id at the same time: it must come back
-        // before id 7, exactly as a heap would order it.
-        q.push(5, 3);
-        assert_eq!(q.pop(), Some((5, 3)));
-        assert_eq!(q.pop(), Some((5, 7)));
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn horizon_boundary_events_are_ordered() {
-        let mut q = CalendarQueue::default();
-        // One event exactly at the window edge, one just past it.
-        q.push(0, 1);
-        q.push(HORIZON - 1, 2);
-        q.push(HORIZON, 3);
-        q.push(HORIZON + 1, 4);
-        assert_eq!(q.pop(), Some((0, 1)));
-        assert_eq!(q.pop(), Some((HORIZON - 1, 2)));
-        assert_eq!(q.pop(), Some((HORIZON, 3)));
-        assert_eq!(q.pop(), Some((HORIZON + 1, 4)));
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn empty_queue_pops_none() {
-        assert_eq!(CalendarQueue::default().pop(), None);
-        assert_eq!(HeapQueue::default().pop(), None);
-    }
-
-    #[test]
-    fn long_idle_gaps_jump_correctly() {
-        let mut q = CalendarQueue::default();
-        q.push(0, 0);
-        assert_eq!(q.pop(), Some((0, 0)));
-        // Next event far beyond several windows.
-        q.push(10 * HORIZON + 17, 9);
-        q.push(10 * HORIZON + 17, 4);
-        assert_eq!(q.pop(), Some((10 * HORIZON + 17, 4)));
-        assert_eq!(q.pop(), Some((10 * HORIZON + 17, 9)));
-    }
-
-    /// Lockstep harness for [`SlotCalendar`] mimicking real simulator
-    /// traffic, where every slot id holds at most one pending event:
-    /// seed one event per slot, then repeatedly pop from both queues and
+    /// Lockstep harness mimicking real simulator traffic, where every
+    /// slot id holds at most one pending event: seed one event per slot,
+    /// then repeatedly pop from the calendar and the reference heap and
     /// re-push the popped id at a simulator-like delay (mostly zero or
     /// near-future, occasionally the 32-cycle idle retry or a far spill),
     /// retiring slots now and then, asserting identical pop sequences.
     fn lockstep_slot_traffic(seed: u64, num_slots: usize, ops: usize) {
         let mut r = rng(seed);
-        let mut heap = HeapQueue::default();
+        let mut heap = BinaryHeap::new();
         let mut cal = SlotCalendar::new(num_slots);
         for id in 0..num_slots as u32 {
-            heap.push(0, id);
-            EventQueue::push(&mut cal, 0, id);
+            heap.push(Reverse((0u64, id)));
+            cal.push(0, id);
         }
         let mut processed = 0usize;
         while processed < ops {
-            let a = heap.pop();
-            let b = cal.pop();
+            let a = heap.pop().map(|Reverse(e)| e);
+            let b = pop(&mut cal);
             assert_eq!(a, b);
-            assert_eq!(heap.len(), EventQueue::len(&cal));
+            assert_eq!(heap.len(), cal.event_count());
             let Some((t, id)) = a else { break };
             processed += 1;
-            if r() % 97 == 0 {
+            if r().is_multiple_of(97) {
                 continue; // slot retires (Done)
             }
             let dt = match r() % 10 {
@@ -748,15 +290,15 @@ mod tests {
                 7 => 32,
                 8 => 40,
                 _ => {
-                    if r() % 16 == 0 {
+                    if r().is_multiple_of(16) {
                         HORIZON + r() % 2000
                     } else {
                         r() % 8
                     }
                 }
             };
-            heap.push(t + dt, id);
-            EventQueue::push(&mut cal, t + dt, id);
+            heap.push(Reverse((t + dt, id)));
+            cal.push(t + dt, id);
         }
     }
 
@@ -773,6 +315,21 @@ mod tests {
         lockstep_slot_traffic(100, 64, 10_000);
         lockstep_slot_traffic(101, 65, 10_000);
         lockstep_slot_traffic(102, 300, 20_000);
+    }
+
+    #[test]
+    fn horizon_boundary_events_are_ordered() {
+        let mut c = SlotCalendar::new(8);
+        // One event exactly at the window edge, one just past it.
+        c.push(0, 1);
+        c.push(HORIZON - 1, 2);
+        c.push(HORIZON, 3);
+        c.push(HORIZON + 1, 4);
+        assert_eq!(pop(&mut c), Some((0, 1)));
+        assert_eq!(pop(&mut c), Some((HORIZON - 1, 2)));
+        assert_eq!(pop(&mut c), Some((HORIZON, 3)));
+        assert_eq!(pop(&mut c), Some((HORIZON + 1, 4)));
+        assert_eq!(pop(&mut c), None);
     }
 
     #[test]

@@ -15,7 +15,10 @@
 //!   each slot owns the DFS exploration of one initial embedding
 //!   (a `gramer_mining::Explorer`), the scheduler issues one slot-step per
 //!   cycle, memory latencies overlap across slots, and idle slots steal
-//!   work from busy ones (§V-C).
+//!   work from busy ones (§V-C). One event engine drives every run: an
+//!   epoch-batched loop over a slot calendar that executes events in
+//!   strict `(cycle, slot)` order. A plain binary-heap loop defines that
+//!   order as a test oracle; it is not a mode of the product.
 //! * **Models** — the Table II area model ([`area`]) and the Table IV
 //!   clock-rate model ([`pipeline`]) substitute for RTL synthesis, with
 //!   constants calibrated once against the paper (see `DESIGN.md`).
@@ -49,8 +52,7 @@
 
 mod cache;
 mod config;
-#[doc(hidden)]
-pub mod events;
+mod events;
 mod preprocess;
 mod report;
 mod sim;
@@ -65,9 +67,7 @@ pub mod supervise;
 pub mod telemetry;
 
 pub use cache::PreprocessCache;
-pub use config::{
-    EpochMode, GramerConfig, MemoMode, MemoryBudget, MemoryMode, Scheduler, MAX_SIM_THREADS,
-};
+pub use config::{GramerConfig, MemoMode, MemoryBudget, MemoryMode, MAX_SIM_THREADS};
 pub use error::{ConfigError, SimError};
 pub use gramer_memsim::AccessPath;
 pub use preprocess::{modeled_preprocess_seconds, preprocess, Preprocessed};

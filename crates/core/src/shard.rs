@@ -8,7 +8,7 @@
 //! [`run_cells`] removes that freedom: results are returned indexed by
 //! cell position, exactly as a serial loop would produce them. A
 //! multi-threaded run is therefore byte-identical to `--sim-threads=1`
-//! (asserted by `sharded_matches_serial` below and the golden-matrix
+//! (asserted by `sharded_matches_serial` below and the golden
 //! integration tests).
 //!
 //! The scheduler is a work-stealing index over the cell list: threads

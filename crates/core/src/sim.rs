@@ -1,6 +1,6 @@
-use crate::config::{EpochMode, GramerConfig, MemoMode, MemoryMode, Scheduler};
+use crate::config::{GramerConfig, MemoMode, MemoryMode};
 use crate::error::{ConfigError, SimError};
-use crate::events::{CalendarQueue, EventQueue, HeapQueue, SlotCalendar};
+use crate::events::SlotCalendar;
 use crate::preprocess::Preprocessed;
 use crate::progress;
 use crate::report::QueryRunStats;
@@ -14,7 +14,8 @@ use gramer_mining::{
     MemoStats, MiningResult, NoFilter, NoMemo, PairMemoTable, PatternCounts, PatternInterner,
     QueryApp, Step, Tee,
 };
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Cycles an idle slot waits before re-checking for stealable work.
 const IDLE_RETRY_CYCLES: u64 = 32;
@@ -159,11 +160,11 @@ struct RepinState {
 
 /// Everything one run mutates, shared verbatim by the two loop drivers.
 ///
-/// The reference driver ([`Simulator::run_queue`]) and the epoch driver
-/// ([`Simulator::run_epochs`]) differ only in *which order machinery*
+/// The epoch engine ([`Simulator::run_epochs`]) and the heap oracle
+/// ([`Simulator::run_heap`]) differ only in *which order machinery*
 /// hands `(time, slot)` events to [`RunState::exec_event`]; the event
-/// semantics live here exactly once, so the engines cannot drift apart —
-/// the bit-identity the golden matrix and `epoch_matches_interleaved`
+/// semantics live here exactly once, so the two cannot drift apart —
+/// the bit-identity the equivalence tests and `epoch_matches_interleaved`
 /// assert is structural, not coincidental.
 struct RunState<'s, 'p, A: EcmApp> {
     app: &'s A,
@@ -722,21 +723,12 @@ impl<'p> Simulator<'p> {
     /// subsystem cannot be built.
     ///
     /// The event loop reports forward progress through
-    /// [`crate::progress`] once per small batch of executed events — and,
-    /// under the epoch engine, at least once per epoch — so a watchdog
+    /// [`crate::progress`] once per small batch of executed events and
+    /// checks for cancellation at least once per epoch, so a watchdog
     /// (the sweep runner's per-point timeout) can observe liveness and
     /// cancel a run cooperatively with negligible hot-path overhead.
-    ///
-    /// Which engine drives the loop is selected by
-    /// [`GramerConfig::epoch`]; under [`EpochMode::Off`],
-    /// [`GramerConfig::scheduler`] picks the reference event-queue
-    /// implementation. All of them execute events in an identical order,
-    /// so the choice affects host throughput only — simulated cycles,
-    /// memory statistics and mining results are bit-for-bit the same
-    /// (asserted by the equivalence tests in `tests/golden.rs` and the
-    /// `epoch_matches_interleaved` property test).
     pub fn run<A: EcmApp>(&self, app: &A) -> Result<RunReport, SimError> {
-        self.dispatch_memo::<A, NullSink>(app, &mut NullSink)
+        self.dispatch_memo::<A, NullSink, Epochs>(app, &mut NullSink)
     }
 
     /// Runs `app` like [`Simulator::run`] while recording cycle-windowed
@@ -752,7 +744,7 @@ impl<'p> Simulator<'p> {
         app: &A,
         tel: &mut Telemetry,
     ) -> Result<RunReport, SimError> {
-        self.dispatch_memo::<A, Telemetry>(app, tel)
+        self.dispatch_memo::<A, Telemetry, Epochs>(app, tel)
     }
 
     /// Runs a candidate-filtered subgraph query: the LDF → NLF → GQL
@@ -768,7 +760,7 @@ impl<'p> Simulator<'p> {
     /// plus the honest filter-probe cost. The report gains a
     /// [`QueryRunStats`] block.
     pub fn run_query(&self, app: &QueryApp) -> Result<RunReport, SimError> {
-        self.dispatch_query::<NullSink>(app, &mut NullSink)
+        self.dispatch_query::<NullSink, Epochs>(app, &mut NullSink)
     }
 
     /// [`Simulator::run_query`] with cycle-windowed telemetry (the
@@ -778,13 +770,50 @@ impl<'p> Simulator<'p> {
         app: &QueryApp,
         tel: &mut Telemetry,
     ) -> Result<RunReport, SimError> {
-        self.dispatch_query::<Telemetry>(app, tel)
+        self.dispatch_query::<Telemetry, Epochs>(app, tel)
+    }
+
+    /// Test oracle for [`Simulator::run`]: the same run driven by a plain
+    /// binary-heap event loop instead of the epoch engine. Reports must
+    /// be bit-identical; only the equivalence tests call this.
+    #[doc(hidden)]
+    pub fn run_oracle<A: EcmApp>(&self, app: &A) -> Result<RunReport, SimError> {
+        self.dispatch_memo::<A, NullSink, HeapOracle>(app, &mut NullSink)
+    }
+
+    /// Test oracle for [`Simulator::run_telemetry`] (see
+    /// [`Simulator::run_oracle`]).
+    #[doc(hidden)]
+    pub fn run_telemetry_oracle<A: EcmApp>(
+        &self,
+        app: &A,
+        tel: &mut Telemetry,
+    ) -> Result<RunReport, SimError> {
+        self.dispatch_memo::<A, Telemetry, HeapOracle>(app, tel)
+    }
+
+    /// Test oracle for [`Simulator::run_query`] (see
+    /// [`Simulator::run_oracle`]).
+    #[doc(hidden)]
+    pub fn run_query_oracle(&self, app: &QueryApp) -> Result<RunReport, SimError> {
+        self.dispatch_query::<NullSink, HeapOracle>(app, &mut NullSink)
+    }
+
+    /// Test oracle for [`Simulator::run_query_telemetry`] (see
+    /// [`Simulator::run_oracle`]).
+    #[doc(hidden)]
+    pub fn run_query_telemetry_oracle(
+        &self,
+        app: &QueryApp,
+        tel: &mut Telemetry,
+    ) -> Result<RunReport, SimError> {
+        self.dispatch_query::<Telemetry, HeapOracle>(app, tel)
     }
 
     /// Builds the candidate filter for `app`'s query and forks on the
     /// memo mode, mirroring [`Simulator::dispatch_memo`] with an active
     /// [`CandidateFilter`] instead of [`NoFilter`].
-    fn dispatch_query<S: TelemetrySink>(
+    fn dispatch_query<S: TelemetrySink, E: Engine>(
         &self,
         app: &QueryApp,
         sink: &mut S,
@@ -794,20 +823,10 @@ impl<'p> Simulator<'p> {
         let candidates = CandidateSets::build(&self.pre.graph, app.query());
         let mut filter = CandidateFilter::new(&candidates);
         match self.config.memo {
-            MemoMode::Off => self.dispatch_engine::<QueryApp, S, NoMemo, CandidateFilter>(
-                app,
-                sink,
-                &mut NoMemo,
-                &mut filter,
-            ),
+            MemoMode::Off => E::drive(self, app, sink, &mut NoMemo, &mut filter),
             MemoMode::On { bytes } => {
                 let mut memo = PairMemoTable::with_budget(bytes);
-                self.dispatch_engine::<QueryApp, S, PairMemoTable, CandidateFilter>(
-                    app,
-                    sink,
-                    &mut memo,
-                    &mut filter,
-                )
+                E::drive(self, app, sink, &mut memo, &mut filter)
             }
         }
     }
@@ -818,83 +837,42 @@ impl<'p> Simulator<'p> {
     /// path is bit-for-bit (and instruction-for-instruction) the
     /// pre-memoization loop. `--memo on` builds one byte-budgeted
     /// [`PairMemoTable`] shared by all PUs for the whole run.
-    fn dispatch_memo<A: EcmApp, S: TelemetrySink>(
+    fn dispatch_memo<A: EcmApp, S: TelemetrySink, E: Engine>(
         &self,
         app: &A,
         sink: &mut S,
     ) -> Result<RunReport, SimError> {
         match self.config.memo {
-            MemoMode::Off => self.dispatch_engine::<A, S, NoMemo, NoFilter>(
-                app,
-                sink,
-                &mut NoMemo,
-                &mut NoFilter,
-            ),
+            MemoMode::Off => E::drive(self, app, sink, &mut NoMemo, &mut NoFilter),
             MemoMode::On { bytes } => {
                 let mut memo = PairMemoTable::with_budget(bytes);
-                self.dispatch_engine::<A, S, PairMemoTable, NoFilter>(
-                    app,
-                    sink,
-                    &mut memo,
-                    &mut NoFilter,
-                )
+                E::drive(self, app, sink, &mut memo, &mut NoFilter)
             }
         }
     }
 
-    /// Engine selection (epoch × scheduler), shared by every
-    /// memo/filter/sink combination.
-    fn dispatch_engine<A: EcmApp, S: TelemetrySink, M: MemoProbe, Q: CandidateProbe>(
-        &self,
-        app: &A,
-        sink: &mut S,
-        memo: &mut M,
-        filter: &mut Q,
-    ) -> Result<RunReport, SimError> {
-        match (self.config.epoch, self.config.scheduler) {
-            (EpochMode::On, _) => self.run_epochs::<A, S, M, Q>(app, sink, memo, filter),
-            (EpochMode::Off, Scheduler::Calendar) => {
-                self.run_queue::<A, CalendarQueue, S, M, Q>(app, sink, memo, filter)
-            }
-            (EpochMode::Off, Scheduler::Heap) => {
-                self.run_queue::<A, HeapQueue, S, M, Q>(app, sink, memo, filter)
-            }
-        }
-    }
-
-    /// The reference event loop (`--epoch=off`), generic over the queue
-    /// implementation and the telemetry sink. With [`NullSink`] every
-    /// hook and `S::ACTIVE` guard is a compile-time no-op, so the
-    /// monomorphized loop is exactly the uninstrumented one.
-    fn run_queue<A: EcmApp, Q: EventQueue + Default, S: TelemetrySink, M: MemoProbe, F>(
+    /// The test oracle's event loop: a plain binary min-heap of
+    /// `(time, slot)` events, popped one at a time. It defines the
+    /// reference execution order the epoch engine must reproduce. With
+    /// [`NullSink`] every hook and `S::ACTIVE` guard is a compile-time
+    /// no-op.
+    fn run_heap<A: EcmApp, S: TelemetrySink, M: MemoProbe, F: CandidateProbe>(
         &self,
         app: &A,
         sink: &mut S,
         memo: &mut M,
         filter: &mut F,
-    ) -> Result<RunReport, SimError>
-    where
-        F: CandidateProbe,
-    {
+    ) -> Result<RunReport, SimError> {
         let mut st = self.start(app, filter)?;
-        let num_slots = st.slots.len();
-
-        let mut queue = Q::default();
-        for id in 0..num_slots {
-            queue.push(0, id as u32);
-        }
+        let mut heap: BinaryHeap<Reverse<(u64, u32)>> = (0..st.slots.len() as u32)
+            .map(|id| Reverse((0, id)))
+            .collect();
         sink.on_begin(self.config.num_pus);
 
-        // The loop carries the next event in a register: a slot-step that
-        // schedules its own continuation uses `EventQueue::push_pop`, so
-        // the queue's zero-delay lane can hand the event straight back
-        // without touching its buckets whenever nothing earlier is
-        // pending (the common cadence once the event population thins).
         let mut tick_backlog = 0u64;
-        let mut next_ev = queue.pop();
-        while let Some((t, id)) = next_ev {
-            // Heartbeat + cooperative cancellation point for the sweep
-            // watchdog, amortised over batches of executed events.
+        while let Some(Reverse((t, id))) = heap.pop() {
+            // Heartbeat + cooperative cancellation point, amortised over
+            // batches of executed events.
             tick_backlog += 1;
             if tick_backlog == PROGRESS_BATCH {
                 progress::tick_n(PROGRESS_BATCH);
@@ -902,13 +880,12 @@ impl<'p> Simulator<'p> {
             }
             if S::ACTIVE {
                 // The popped event is live but no longer counted by the
-                // queue, hence the +1.
-                sink.on_event(t, &st.mem, queue.len() + 1);
+                // heap, hence the +1.
+                sink.on_event(t, &st.mem, heap.len() + 1);
             }
-            next_ev = match st.exec_event(t, id, sink, memo, filter) {
-                Some(next_t) => Some(queue.push_pop(next_t, id)),
-                None => queue.pop(),
-            };
+            if let Some(next_t) = st.exec_event(t, id, sink, memo, filter) {
+                heap.push(Reverse((next_t, id)));
+            }
         }
         // Flush the partial heartbeat batch (also a final cancel check).
         progress::tick_n(tick_backlog);
@@ -917,7 +894,7 @@ impl<'p> Simulator<'p> {
         st.finish(sink, M::ACTIVE.then(|| memo.stats()), query)
     }
 
-    /// The epoch-batched engine (`--epoch=on`, the default).
+    /// The event engine.
     ///
     /// One *epoch* is one simulated cycle with pending work: the
     /// [`SlotCalendar`] advances to it and hands over that cycle's slots
@@ -955,8 +932,7 @@ impl<'p> Simulator<'p> {
 
         // Hoist the progress token out of the thread-local once: the
         // per-epoch cancellation check is then a single relaxed load,
-        // and heartbeats flush in the same 256-event batches as the
-        // reference driver.
+        // and heartbeats flush in 256-event batches.
         let token = progress::current();
         let mut tick_backlog = 0u64;
         while let Some(t) = cal.advance() {
@@ -979,7 +955,7 @@ impl<'p> Simulator<'p> {
                     if S::ACTIVE {
                         // The in-flight event is no longer counted by
                         // the calendar, hence the +1 — identical depths
-                        // to the reference driver's gauge.
+                        // to the oracle's gauge.
                         sink.on_event(t_run, &st.mem, cal.event_count() + 1);
                     }
                     match st.exec_event(t_run, id, sink, memo, filter) {
@@ -1006,6 +982,50 @@ impl<'p> Simulator<'p> {
 
         let query = F::ACTIVE.then(|| query_stats(filter));
         st.finish(sink, M::ACTIVE.then(|| memo.stats()), query)
+    }
+}
+
+/// The order machinery that drives a run: hands `(time, slot)` events to
+/// [`RunState::exec_event`] in reference `(time, id)` order. A type
+/// parameter rather than a config field, so product entry points never
+/// instantiate the oracle's loop.
+trait Engine {
+    fn drive<A: EcmApp, S: TelemetrySink, M: MemoProbe, F: CandidateProbe>(
+        sim: &Simulator<'_>,
+        app: &A,
+        sink: &mut S,
+        memo: &mut M,
+        filter: &mut F,
+    ) -> Result<RunReport, SimError>;
+}
+
+/// The product engine: [`Simulator::run_epochs`].
+struct Epochs;
+
+impl Engine for Epochs {
+    fn drive<A: EcmApp, S: TelemetrySink, M: MemoProbe, F: CandidateProbe>(
+        sim: &Simulator<'_>,
+        app: &A,
+        sink: &mut S,
+        memo: &mut M,
+        filter: &mut F,
+    ) -> Result<RunReport, SimError> {
+        sim.run_epochs(app, sink, memo, filter)
+    }
+}
+
+/// The test oracle: [`Simulator::run_heap`].
+struct HeapOracle;
+
+impl Engine for HeapOracle {
+    fn drive<A: EcmApp, S: TelemetrySink, M: MemoProbe, F: CandidateProbe>(
+        sim: &Simulator<'_>,
+        app: &A,
+        sink: &mut S,
+        memo: &mut M,
+        filter: &mut F,
+    ) -> Result<RunReport, SimError> {
+        sim.run_heap(app, sink, memo, filter)
     }
 }
 
@@ -1235,25 +1255,19 @@ mod tests {
     }
 
     #[test]
-    fn filtered_query_run_is_deterministic_across_schedulers() {
+    fn filtered_query_run_matches_oracle() {
         let g = generate::with_random_labels(&generate::barabasi_albert(150, 3, 9), 4, 23);
         let query = QueryGraph::from_spec("2,3,2,1:0-1,1-2,2-3,3-0").unwrap();
         let app = QueryApp::new(query).unwrap();
-        for sched in [Scheduler::Calendar, Scheduler::Heap] {
-            let cfg = GramerConfig {
-                scheduler: sched,
-                ..GramerConfig::default()
-            };
-            let pre = preprocess(&g, &cfg).unwrap();
-            let a = Simulator::new(&pre, cfg.clone())
-                .unwrap()
-                .run_query(&app)
-                .unwrap();
-            let b = Simulator::new(&pre, cfg).unwrap().run_query(&app).unwrap();
-            assert_eq!(a.result.embeddings, b.result.embeddings);
-            assert_eq!(a.cycles, b.cycles);
-            assert_eq!(a.query, b.query);
-        }
+        let cfg = GramerConfig::default();
+        let pre = preprocess(&g, &cfg).unwrap();
+        let sim = Simulator::new(&pre, cfg).unwrap();
+        let a = sim.run_query(&app).unwrap();
+        let b = sim.run_query_oracle(&app).unwrap();
+        assert_eq!(a.result.embeddings, b.result.embeddings);
+        assert_eq!(a.cycles, b.cycles);
+        assert_eq!(a.mem, b.mem);
+        assert_eq!(a.query, b.query);
     }
 
     #[test]
@@ -1307,53 +1321,15 @@ mod tests {
     }
 
     #[test]
-    fn heap_scheduler_matches_calendar_report() {
+    fn epoch_engine_matches_heap_oracle() {
         let g = small_graph();
-        // Pin to the reference (non-epoch) drivers: this test is about
-        // the two queue implementations agreeing.
-        let cal_cfg = GramerConfig {
-            epoch: EpochMode::Off,
-            ..GramerConfig::default()
-        };
-        assert_eq!(cal_cfg.scheduler, Scheduler::Calendar);
-        let heap_cfg = GramerConfig {
-            epoch: EpochMode::Off,
-            scheduler: Scheduler::Heap,
-            ..GramerConfig::default()
-        };
-        let pre = preprocess(&g, &cal_cfg).unwrap();
-        let app = CliqueFinding::new(4).unwrap();
-        let a = Simulator::new(&pre, cal_cfg).unwrap().run(&app).unwrap();
-        let b = Simulator::new(&pre, heap_cfg).unwrap().run(&app).unwrap();
-        assert_eq!(a.cycles, b.cycles);
-        assert_eq!(a.steps, b.steps);
-        assert_eq!(a.steals, b.steals);
-        assert_eq!(a.mem, b.mem);
-        assert_eq!(a.pu_steps, b.pu_steps);
-        assert_eq!(a.result.embeddings, b.result.embeddings);
-        assert_eq!(a.result.candidates_examined, b.result.candidates_examined);
-    }
-
-    #[test]
-    fn epoch_engine_matches_reference_interleaving() {
-        let g = small_graph();
-        let on_cfg = GramerConfig::default();
-        assert_eq!(on_cfg.epoch, EpochMode::On);
-        let off_cfg = GramerConfig {
-            epoch: EpochMode::Off,
-            ..GramerConfig::default()
-        };
-        let pre = preprocess(&g, &on_cfg).unwrap();
+        let cfg = GramerConfig::default();
+        let pre = preprocess(&g, &cfg).unwrap();
+        let sim = Simulator::new(&pre, cfg).unwrap();
         for k in [3usize, 4] {
             let app = CliqueFinding::new(k).unwrap();
-            let a = Simulator::new(&pre, on_cfg.clone())
-                .unwrap()
-                .run(&app)
-                .unwrap();
-            let b = Simulator::new(&pre, off_cfg.clone())
-                .unwrap()
-                .run(&app)
-                .unwrap();
+            let a = sim.run(&app).unwrap();
+            let b = sim.run_oracle(&app).unwrap();
             assert_eq!(a.cycles, b.cycles);
             assert_eq!(a.steps, b.steps);
             assert_eq!(a.steals, b.steals);
@@ -1394,7 +1370,6 @@ mod tests {
     fn cancel_mid_epoch_unwinds_within_latency_bound() {
         let g = small_graph();
         let cfg = GramerConfig::default();
-        assert_eq!(cfg.epoch, EpochMode::On);
         let pre = preprocess(&g, &cfg).unwrap();
         let app = CliqueFinding::new(4).unwrap();
         const CANCEL_AT: u64 = 1000;
@@ -1473,23 +1448,17 @@ mod tests {
     }
 
     #[test]
-    fn memo_on_agrees_across_engines() {
+    fn memo_on_agrees_with_oracle() {
         let g = small_graph();
-        let mk = |epoch| GramerConfig {
-            epoch,
+        let cfg = GramerConfig {
             memo: MemoMode::On { bytes: 1 << 14 },
             ..GramerConfig::default()
         };
-        let pre = preprocess(&g, &mk(EpochMode::On)).unwrap();
+        let pre = preprocess(&g, &cfg).unwrap();
         let app = CliqueFinding::new(4).unwrap();
-        let a = Simulator::new(&pre, mk(EpochMode::On))
-            .unwrap()
-            .run(&app)
-            .unwrap();
-        let b = Simulator::new(&pre, mk(EpochMode::Off))
-            .unwrap()
-            .run(&app)
-            .unwrap();
+        let sim = Simulator::new(&pre, cfg).unwrap();
+        let a = sim.run(&app).unwrap();
+        let b = sim.run_oracle(&app).unwrap();
         assert_eq!(a.cycles, b.cycles);
         assert_eq!(a.mem, b.mem);
         assert_eq!(a.memo, b.memo);
@@ -1511,29 +1480,22 @@ mod tests {
             },
             13,
         );
-        let mk = |epoch| GramerConfig {
-            epoch,
-            budget: MemoryBudget::Fraction(0.05),
-            adaptive_lambda: true,
-            repin: true,
-            ..GramerConfig::default()
-        };
         let base_cfg = GramerConfig {
             budget: MemoryBudget::Fraction(0.05),
             ..GramerConfig::default()
         };
-        let pre = preprocess(&g, &mk(EpochMode::On)).unwrap();
+        let cfg = GramerConfig {
+            adaptive_lambda: true,
+            repin: true,
+            ..base_cfg.clone()
+        };
+        let pre = preprocess(&g, &cfg).unwrap();
         let app = CliqueFinding::new(4).unwrap();
-        let a = Simulator::new(&pre, mk(EpochMode::On))
-            .unwrap()
-            .run(&app)
-            .unwrap();
-        let b = Simulator::new(&pre, mk(EpochMode::Off))
-            .unwrap()
-            .run(&app)
-            .unwrap();
-        // Both engines execute the identical event sequence, so the
-        // adaptive decisions land identically.
+        let sim = Simulator::new(&pre, cfg).unwrap();
+        let a = sim.run(&app).unwrap();
+        let b = sim.run_oracle(&app).unwrap();
+        // The engine and the oracle execute the identical event
+        // sequence, so the adaptive decisions land identically.
         assert_eq!(a.cycles, b.cycles);
         assert_eq!(a.mem, b.mem);
         assert_eq!(a.lambda_retunes, b.lambda_retunes);

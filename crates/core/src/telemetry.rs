@@ -38,11 +38,12 @@
 //! document always holds at most `max_windows` windows and records both
 //! the base and the effective granularity.
 //!
-//! Every simulated quantity in the document is invariant under the
-//! host-side scheduler and access-path choices, exactly like the golden
-//! run reports; the only path-dependent series (fast-path-lane tallies)
-//! is quarantined under the top-level `"host"` key, which the golden
-//! snapshot test strips before comparing bytes.
+//! Every simulated quantity in the document is identical between the
+//! event engine and its heap oracle and between the fast and exact
+//! memory access paths, exactly like the golden run reports; the only
+//! path-dependent series (fast-path-lane tallies) is quarantined under
+//! the top-level `"host"` key, which the golden snapshot test strips
+//! before comparing bytes.
 
 use crate::json::JsonValue;
 use gramer_graph::VertexId;
@@ -613,8 +614,8 @@ fn u64_array(values: impl IntoIterator<Item = u64>) -> JsonValue {
 impl Telemetry {
     /// Renders the full telemetry document (see the module docs for the
     /// schema). Deterministic: serializing twice yields identical bytes,
-    /// and every key outside `"host"` is invariant under the scheduler
-    /// and access-path choices.
+    /// and every key outside `"host"` is identical between the event
+    /// engine and its oracle and between the two access paths.
     pub fn to_json_value(&self) -> JsonValue {
         let windows = JsonValue::array(self.windows.iter().enumerate().map(|(i, w)| {
             JsonValue::object([

@@ -60,8 +60,9 @@ impl Default for LatencyConfig {
 /// Purely a *host-side* choice: both paths produce identical completions
 /// and statistics for every request sequence — the fast path only takes a
 /// shortcut when it can prove the exact machinery would be a no-op around
-/// a pinned hit. The guarantee is enforced by lockstep property tests and
-/// the golden-config equivalence suite.
+/// a pinned hit. `Exact` is a library-level reference switch, not a
+/// user-facing option: the lockstep property tests and the golden
+/// equivalence suite use it as the reference for `Fast`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum AccessPath {
     /// Two-lane engine: pinned-prefix hits whose partition shows no
@@ -72,20 +73,6 @@ pub enum AccessPath {
     /// Always walk the full port-arbitration / request-FIFO machinery
     /// (the reference implementation).
     Exact,
-}
-
-impl std::str::FromStr for AccessPath {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "fast" => Ok(AccessPath::Fast),
-            "exact" => Ok(AccessPath::Exact),
-            other => Err(format!(
-                "unknown access path {other:?} (expected \"fast\" or \"exact\")"
-            )),
-        }
-    }
 }
 
 /// Configuration of a [`MemorySubsystem`].

@@ -85,7 +85,7 @@ impl JobSpec {
     /// {
     ///   "graph": {"gen": "golden-ba"},
     ///   "app": "4-cf",
-    ///   "config": {"pus": 8, "tau": 0.02, "access_path": "fast"},
+    ///   "config": {"pus": 8, "tau": 0.02, "memo": "on"},
     ///   "deadline_seconds": 10.0,
     ///   "max_retries": 1,
     ///   "metrics": true
@@ -189,18 +189,6 @@ fn apply_config_overrides(config: &mut GramerConfig, c: &JsonValue) -> Result<()
             }
             "work_stealing" => {
                 config.work_stealing = matches!(value, JsonValue::Bool(true));
-            }
-            "access_path" => {
-                let s = value.as_str().ok_or("\"access_path\" must be a string")?;
-                config.access_path = s.parse()?;
-            }
-            "scheduler" => {
-                let s = value.as_str().ok_or("\"scheduler\" must be a string")?;
-                config.scheduler = s.parse()?;
-            }
-            "epoch" => {
-                let s = value.as_str().ok_or("\"epoch\" must be a string")?;
-                config.epoch = s.parse()?;
             }
             "sim_threads" => {
                 // Range is enforced by `config.validate()` after all
@@ -572,6 +560,22 @@ mod tests {
         )
         .expect("json");
         assert!(JobSpec::from_json(&v).unwrap_err().contains("warp"));
+        // The retired host-engine knobs are unknown knobs like any other.
+        for (knob, value) in [
+            ("scheduler", "\"heap\""),
+            ("epoch", "\"off\""),
+            ("access_path", "\"exact\""),
+        ] {
+            let v = JsonValue::parse(&format!(
+                "{{\"graph\": {{\"gen\": \"demo\"}}, \"app\": \"3-cf\", \
+                 \"config\": {{\"{knob}\": {value}}}}}"
+            ))
+            .expect("json");
+            assert_eq!(
+                JobSpec::from_json(&v).unwrap_err(),
+                format!("unknown config knob {knob:?}")
+            );
+        }
     }
 
     #[test]
@@ -597,14 +601,12 @@ mod tests {
     fn config_overrides_apply() {
         let v = JsonValue::parse(
             "{\"graph\": {\"gen\": \"demo\"}, \"app\": \"3-mc\", \
-             \"config\": {\"pus\": 4, \"tau\": 0.05, \"access_path\": \"exact\", \
-             \"epoch\": \"off\", \"sim_threads\": 4}}",
+             \"config\": {\"pus\": 4, \"tau\": 0.05, \"sim_threads\": 4}}",
         )
         .expect("json");
         let spec = JobSpec::from_json(&v).expect("valid");
         assert_eq!(spec.config.num_pus, 4);
         assert_eq!(spec.config.tau, Some(0.05));
-        assert_eq!(spec.config.epoch, gramer::EpochMode::Off);
         assert_eq!(spec.config.sim_threads, 4);
     }
 
@@ -663,13 +665,6 @@ mod tests {
         )
         .expect("json");
         assert!(JobSpec::from_json(&v).unwrap_err().contains("sim_threads"));
-        // Bad epoch string is a parse error, not a panic.
-        let v = JsonValue::parse(
-            "{\"graph\": {\"gen\": \"demo\"}, \"app\": \"3-cf\", \
-             \"config\": {\"epoch\": \"sometimes\"}}",
-        )
-        .expect("json");
-        assert!(JobSpec::from_json(&v).unwrap_err().contains("epoch"));
     }
 
     #[test]

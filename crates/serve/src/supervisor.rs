@@ -884,6 +884,47 @@ mod tests {
     }
 
     #[test]
+    fn replayed_job_with_a_retired_knob_fails_typed_and_the_daemon_keeps_serving() {
+        let dir = std::env::temp_dir().join(format!(
+            "gramer-supervisor-retired-knob-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let journal_path = dir.join("jobs.jsonl");
+        // A queued record journaled by a build that still accepted the
+        // host-engine knobs.
+        let spec = JsonValue::parse(
+            "{\"graph\": {\"gen\": \"ba:120:3:5\"}, \"app\": \"3-cf\", \
+             \"config\": {\"epoch\": \"off\"}}",
+        )
+        .expect("json");
+        let line = JobRecord::new(1, spec, JobStatus::Queued).to_json_value();
+        std::fs::write(&journal_path, format!("{line}\n")).expect("write journal");
+
+        let supervisor = Supervisor::start(SupervisorConfig {
+            workers: 1,
+            journal_path: Some(journal_path),
+            ..SupervisorConfig::default()
+        })
+        .expect("start");
+        let replayed = wait(&supervisor, 1);
+        assert_eq!(replayed.status, JobStatus::Failed);
+        let err = replayed.error.expect("typed error");
+        assert_eq!(err.kind, "invalid");
+        assert!(
+            err.message.contains("unknown config knob"),
+            "{}",
+            err.message
+        );
+        // The daemon keeps serving.
+        let next = submit_json(&supervisor, &small_job("3-cf")).expect("submit");
+        assert_eq!(wait(&supervisor, next.id).status, JobStatus::Completed);
+        supervisor.shutdown_and_join();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn journal_restores_completed_results_and_requeues_interrupted_jobs() {
         let dir =
             std::env::temp_dir().join(format!("gramer-supervisor-journal-{}", std::process::id()));

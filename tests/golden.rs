@@ -2,15 +2,19 @@
 //!
 //! These tests lock the *simulated* quantities — cycles, steals, steps,
 //! embeddings, and the per-size accepted/candidate counts — for two
-//! small seeded workloads. Scheduler or probe rewrites in the hot path
+//! small seeded workloads. Engine or probe rewrites in the hot path
 //! must not shift any of these numbers: a performance change that moves
 //! a golden value is a semantics change, not an optimisation, and must
 //! be called out explicitly (by updating the constant and explaining
 //! why in the commit).
+//!
+//! Each golden workload runs under every host-side leg in-process: the
+//! event engine and its heap oracle, the fast and exact memory access
+//! paths, and the pair memo off and on. Every leg must reproduce the
+//! golden constants, and legs with the same memo setting must agree on
+//! every simulated quantity.
 
-use gramer::{
-    preprocess, AccessPath, EpochMode, GramerConfig, MemoMode, RunReport, Scheduler, Simulator,
-};
+use gramer::{preprocess, AccessPath, GramerConfig, MemoMode, RunReport, Simulator};
 use gramer_graph::generate::{self, RmatParams};
 use gramer_graph::CsrGraph;
 use gramer_mining::apps::{CliqueFinding, MotifCounting};
@@ -34,36 +38,25 @@ fn golden_summary(r: &RunReport) -> String {
     )
 }
 
-/// Base config for the golden runs. The tier-1 matrix (`scripts/tier1.sh`)
-/// re-runs this suite under every `scheduler` × `access_path` combination
-/// via `GRAMER_SCHEDULER` / `GRAMER_ACCESS_PATH`, once more with
-/// `GRAMER_EPOCH=off` selecting the reference event-queue interleaving,
-/// and once with `GRAMER_MEMO=on`. Scheduler/access-path/epoch are
-/// host-side choices, so the golden constants hold bit-for-bit under
-/// every combination; the memo is a *model* change, so under
-/// `GRAMER_MEMO=on` the timing constants are skipped and only the
-/// mining-result fields are held to the golden lines (see
-/// [`assert_golden_results`]).
-fn base_config() -> GramerConfig {
-    let mut cfg = GramerConfig::default();
-    if let Ok(s) = std::env::var("GRAMER_SCHEDULER") {
-        cfg.scheduler = s.parse().expect("GRAMER_SCHEDULER must be calendar|heap");
+/// Which loop drives a run: the product event engine or its heap oracle.
+#[derive(Debug, Clone, Copy)]
+enum Engine {
+    Product,
+    Oracle,
+}
+
+fn run_on<A: EcmApp>(graph: &CsrGraph, app: &A, cfg: &GramerConfig, engine: Engine) -> RunReport {
+    let pre = preprocess(graph, cfg).unwrap();
+    let sim = Simulator::new(&pre, cfg.clone()).unwrap();
+    match engine {
+        Engine::Product => sim.run(app),
+        Engine::Oracle => sim.run_oracle(app),
     }
-    if let Ok(s) = std::env::var("GRAMER_ACCESS_PATH") {
-        cfg.access_path = s.parse().expect("GRAMER_ACCESS_PATH must be fast|exact");
-    }
-    if let Ok(s) = std::env::var("GRAMER_EPOCH") {
-        cfg.epoch = s.parse().expect("GRAMER_EPOCH must be on|off");
-    }
-    if let Ok(s) = std::env::var("GRAMER_MEMO") {
-        cfg.memo = s.parse().expect("GRAMER_MEMO must be on|off|BYTES");
-    }
-    cfg
+    .unwrap()
 }
 
 fn run<A: EcmApp>(graph: &CsrGraph, app: &A, cfg: &GramerConfig) -> RunReport {
-    let pre = preprocess(graph, cfg).unwrap();
-    Simulator::new(&pre, cfg.clone()).unwrap().run(app).unwrap()
+    run_on(graph, app, cfg, Engine::Product)
 }
 
 fn ba_graph() -> CsrGraph {
@@ -119,10 +112,10 @@ fn assert_golden_results(r: &RunReport, golden: &str) {
     );
 }
 
-/// Runs one golden workload: under the default `--memo off` the full
-/// timing-bearing golden line must hold byte-for-byte; under
-/// `GRAMER_MEMO=on` the memo legitimately moves timing, so only the
-/// mining results are pinned — and the table must actually get hits.
+/// Checks one golden workload: under `--memo off` the full
+/// timing-bearing golden line must hold byte-for-byte; with the memo on
+/// it legitimately moves timing, so only the mining results are pinned —
+/// and the table must actually get hits.
 fn check_golden(report: &RunReport, cfg: &GramerConfig, golden: &str) {
     if matches!(cfg.memo, MemoMode::Off) {
         assert_eq!(golden_summary(report), golden);
@@ -135,32 +128,59 @@ fn check_golden(report: &RunReport, cfg: &GramerConfig, golden: &str) {
     }
 }
 
+/// Runs one golden workload under every leg — {engine, oracle} ×
+/// {fast, exact} × {memo off, memo on} — holding each leg to the golden
+/// line and each memo setting's legs to one identical report.
+fn check_golden_on_every_leg<A: EcmApp>(graph: &CsrGraph, app: &A, golden: &str) {
+    for memo in [MemoMode::Off, MemoMode::On { bytes: 1 << 16 }] {
+        let mut reference: Option<(String, String)> = None;
+        for access_path in [AccessPath::Fast, AccessPath::Exact] {
+            for engine in [Engine::Product, Engine::Oracle] {
+                let cfg = GramerConfig {
+                    access_path,
+                    memo,
+                    ..GramerConfig::default()
+                };
+                let report = run_on(graph, app, &cfg, engine);
+                check_golden(&report, &cfg, golden);
+                let views = (
+                    full_semantic_view(&report),
+                    report.to_json_value().to_string(),
+                );
+                match &reference {
+                    None => reference = Some(views),
+                    Some(r) => assert_eq!(
+                        r, &views,
+                        "{engine:?} x {access_path:?} x memo {memo:?} diverged from the \
+                         product engine on the fast path"
+                    ),
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn golden_ba200_cf4() {
-    let cfg = base_config();
-    let report = run(&ba_graph(), &CliqueFinding::new(4).unwrap(), &cfg);
-    check_golden(&report, &cfg, GOLDEN_BA_CF4);
+    check_golden_on_every_leg(&ba_graph(), &CliqueFinding::new(4).unwrap(), GOLDEN_BA_CF4);
 }
 
 #[test]
 fn golden_rmat_mc3() {
-    let cfg = base_config();
-    let report = run(&rmat_graph(), &MotifCounting::new(3).unwrap(), &cfg);
-    check_golden(&report, &cfg, GOLDEN_RMAT_MC3);
+    check_golden_on_every_leg(
+        &rmat_graph(),
+        &MotifCounting::new(3).unwrap(),
+        GOLDEN_RMAT_MC3,
+    );
 }
 
-/// The memo dimension of the golden matrix, runnable without the env
-/// hook: memo-on mining results equal the memo-off golden lines, the
-/// table gets hits on both workloads, and the memoized run never does
-/// more memory work than the reference.
+/// The memo dimension of the golden workloads: memo-on mining results
+/// equal the memo-off golden lines, the table gets hits on both
+/// workloads, and the memoized run never does more memory work than the
+/// reference.
 #[test]
 fn golden_workloads_with_memo_on() {
-    // Pin both sides explicitly (the `GRAMER_MEMO` env hook must not
-    // leak into the reference config when tier1 runs the memo cell).
-    let off = GramerConfig {
-        memo: MemoMode::Off,
-        ..base_config()
-    };
+    let off = GramerConfig::default();
     let on = GramerConfig {
         memo: MemoMode::On { bytes: 1 << 16 },
         ..off.clone()
@@ -200,38 +220,6 @@ fn full_semantic_view(r: &RunReport) -> String {
     )
 }
 
-/// The calendar queue is the default scheduler; the binary heap is kept
-/// as the reference implementation. On both golden workloads the two
-/// must produce *identical* reports — scheduling is a host-side choice,
-/// not a simulated one (ISSUE 3 tentpole invariant).
-#[test]
-fn heap_scheduler_matches_calendar_on_golden_workloads() {
-    let cal_cfg = GramerConfig {
-        scheduler: Scheduler::Calendar,
-        ..base_config()
-    };
-    let heap_cfg = GramerConfig {
-        scheduler: Scheduler::Heap,
-        ..base_config()
-    };
-
-    let ba = ba_graph();
-    let cf = CliqueFinding::new(4).unwrap();
-    assert_eq!(
-        full_semantic_view(&run(&ba, &cf, &cal_cfg)),
-        full_semantic_view(&run(&ba, &cf, &heap_cfg)),
-        "BA(200,3) x CF(4): heap and calendar schedulers diverged"
-    );
-
-    let rmat = rmat_graph();
-    let mc = MotifCounting::new(3).unwrap();
-    assert_eq!(
-        full_semantic_view(&run(&rmat, &mc, &cal_cfg)),
-        full_semantic_view(&run(&rmat, &mc, &heap_cfg)),
-        "R-MAT(2^8) x MC(3): heap and calendar schedulers diverged"
-    );
-}
-
 /// Runs `app` starting from a `.gra` artifact round-trip of the
 /// preprocessed graph instead of the direct [`preprocess`] result.
 fn run_via_artifact<A: EcmApp>(graph: &CsrGraph, app: &A, cfg: &GramerConfig) -> RunReport {
@@ -245,11 +233,10 @@ fn run_via_artifact<A: EcmApp>(graph: &CsrGraph, app: &A, cfg: &GramerConfig) ->
 /// The `.gra` artifact path (ISSUE 6 tentpole) must be invisible in the
 /// results: a run resumed from an artifact produces a [`RunReport`]
 /// whose serialized JSON is byte-identical to the edge-list path's, on
-/// both golden workloads. Runs under the full scheduler × access-path
-/// matrix via `scripts/tier1.sh golden`.
+/// both golden workloads.
 #[test]
 fn artifact_path_reports_are_bit_identical() {
-    let cfg = base_config();
+    let cfg = GramerConfig::default();
 
     let ba = ba_graph();
     let cf = CliqueFinding::new(4).unwrap();
@@ -270,43 +257,6 @@ fn artifact_path_reports_are_bit_identical() {
     );
 }
 
-/// The epoch-batched engine (ISSUE 8 tentpole) is the default inner
-/// loop; `--epoch=off` keeps the reference event-queue interleaving. On
-/// both golden workloads the two must produce *identical* serialized
-/// reports — epoch batching is a host-side engine choice, not a model
-/// change. (The randomized flavour is `epoch_matches_interleaved` in
-/// `tests/properties.rs`.)
-#[test]
-fn epoch_engine_matches_interleaved_on_golden_workloads() {
-    let epoch_cfg = GramerConfig {
-        epoch: EpochMode::On,
-        ..base_config()
-    };
-    let interleaved_cfg = GramerConfig {
-        epoch: EpochMode::Off,
-        ..base_config()
-    };
-    assert_eq!(GramerConfig::default().epoch, EpochMode::On);
-
-    let ba = ba_graph();
-    let cf = CliqueFinding::new(4).unwrap();
-    assert_eq!(
-        run(&ba, &cf, &epoch_cfg).to_json_value().to_string(),
-        run(&ba, &cf, &interleaved_cfg).to_json_value().to_string(),
-        "BA(200,3) x CF(4): epoch engine diverged from interleaved engine"
-    );
-
-    let rmat = rmat_graph();
-    let mc = MotifCounting::new(3).unwrap();
-    assert_eq!(
-        run(&rmat, &mc, &epoch_cfg).to_json_value().to_string(),
-        run(&rmat, &mc, &interleaved_cfg)
-            .to_json_value()
-            .to_string(),
-        "R-MAT(2^8) x MC(3): epoch engine diverged from interleaved engine"
-    );
-}
-
 /// Running the two golden workloads as independent cells on a sharded
 /// pool (`sim_threads=4`) must yield byte-identical serialized reports,
 /// in the same order, as the serial `sim_threads=1` path — host
@@ -317,7 +267,7 @@ fn sharded_cells_reports_are_bit_identical_to_serial() {
     let run_matrix = |threads: usize| -> Vec<String> {
         let cfg = GramerConfig {
             sim_threads: threads,
-            ..base_config()
+            ..GramerConfig::default()
         };
         let cells: Vec<Box<dyn FnOnce() -> String + Send>> = vec![
             Box::new({
@@ -346,38 +296,4 @@ fn sharded_cells_reports_are_bit_identical_to_serial() {
         "sim_threads=4 diverged from sim_threads=1 on the golden cells"
     );
     assert_eq!(serial.len(), 2);
-}
-
-/// The two-lane fast access engine (ISSUE 4 tentpole) is the default;
-/// `--access-path=exact` keeps the reference port/FIFO machinery. On
-/// both golden workloads the two must produce *identical* reports down
-/// to every memory statistic — the fast lanes are a host-side
-/// optimisation, not a model change.
-#[test]
-fn exact_access_path_matches_fast_on_golden_workloads() {
-    let fast_cfg = GramerConfig {
-        access_path: AccessPath::Fast,
-        ..base_config()
-    };
-    let exact_cfg = GramerConfig {
-        access_path: AccessPath::Exact,
-        ..base_config()
-    };
-    assert_eq!(GramerConfig::default().access_path, AccessPath::Fast);
-
-    let ba = ba_graph();
-    let cf = CliqueFinding::new(4).unwrap();
-    assert_eq!(
-        full_semantic_view(&run(&ba, &cf, &fast_cfg)),
-        full_semantic_view(&run(&ba, &cf, &exact_cfg)),
-        "BA(200,3) x CF(4): fast and exact access paths diverged"
-    );
-
-    let rmat = rmat_graph();
-    let mc = MotifCounting::new(3).unwrap();
-    assert_eq!(
-        full_semantic_view(&run(&rmat, &mc, &fast_cfg)),
-        full_semantic_view(&run(&rmat, &mc, &exact_cfg)),
-        "R-MAT(2^8) x MC(3): fast and exact access paths diverged"
-    );
 }

@@ -7,7 +7,7 @@
 //! case is reproducible: a failure message includes the case seed.
 
 use gramer_suite::gramer::{
-    preprocess, AccessPath, EpochMode, GramerConfig, MemoMode, MemoryBudget, Scheduler, Simulator,
+    preprocess, AccessPath, GramerConfig, MemoMode, MemoryBudget, Simulator,
 };
 use gramer_suite::gramer_graph::{generate, io, on1, reorder, GraphBuilder, VertexId};
 use gramer_suite::gramer_memsim::policy::PolicyKind;
@@ -330,9 +330,9 @@ fn fast_path_matches_exact_path() {
 }
 
 /// End-to-end flavour of the same invariant: over randomized
-/// `LatencyConfig` and `MemoryBudget` draws, a full simulator run under
-/// `--access-path=fast` is indistinguishable from `--access-path=exact`
-/// on every simulated quantity.
+/// `LatencyConfig` and `MemoryBudget` draws, a full simulator run on
+/// `AccessPath::Fast` is indistinguishable from `AccessPath::Exact` on
+/// every simulated quantity.
 #[test]
 fn fast_path_matches_exact_path_full_sim() {
     for seed in 0..CASES / 4 {
@@ -390,14 +390,13 @@ fn fast_path_matches_exact_path_full_sim() {
     }
 }
 
-/// The epoch-batched engine (`--epoch=on`, the default) must be
-/// indistinguishable from the reference event-queue interleaving
-/// (`--epoch=off`) on every simulated quantity, across randomized PU/slot
-/// geometries (down to the degenerate 1 PU × 1 slot), latency draws,
-/// memory budgets, stealing/dispatch modes and both reference queue
-/// implementations. This is the load-bearing property behind shipping
-/// epoch mode as the default: it is a host-side engine choice, not a
-/// model change.
+/// The epoch-batched event engine must be indistinguishable from the
+/// heap oracle's one-event-at-a-time interleaving on every simulated
+/// quantity, across randomized PU/slot geometries (down to the
+/// degenerate 1 PU × 1 slot), latency draws, memory budgets,
+/// stealing/dispatch modes and both memory access paths. This is the
+/// load-bearing property behind the engine: batching is a host-side
+/// choice, not a model change.
 #[test]
 fn epoch_matches_interleaved() {
     for seed in 0..CASES {
@@ -419,7 +418,7 @@ fn epoch_matches_interleaved() {
             memo_lookup_cycles: rng.gen_range(1u64..3),
             filter_lookup_cycles: 1,
         };
-        let epoch_cfg = GramerConfig {
+        let cfg = GramerConfig {
             num_pus,
             slots_per_pu,
             ancestor_depth: 16,
@@ -432,28 +431,13 @@ fn epoch_matches_interleaved() {
             } else {
                 AccessPath::Exact
             },
-            epoch: EpochMode::On,
             ..GramerConfig::default()
         };
-        let interleaved_cfg = GramerConfig {
-            epoch: EpochMode::Off,
-            scheduler: if rng.gen_bool(0.5) {
-                Scheduler::Calendar
-            } else {
-                Scheduler::Heap
-            },
-            ..epoch_cfg.clone()
-        };
-        let pre = preprocess(&g, &epoch_cfg).expect("random graph preprocesses");
+        let pre = preprocess(&g, &cfg).expect("random graph preprocesses");
         let app = MotifCounting::new(3).expect("valid");
-        let a = Simulator::new(&pre, epoch_cfg)
-            .expect("valid config")
-            .run(&app)
-            .expect("runs");
-        let b = Simulator::new(&pre, interleaved_cfg)
-            .expect("valid config")
-            .run(&app)
-            .expect("runs");
+        let sim = Simulator::new(&pre, cfg).expect("valid config");
+        let a = sim.run(&app).expect("runs");
+        let b = sim.run_oracle(&app).expect("runs");
         assert_eq!(a.cycles, b.cycles, "seed {seed}");
         assert_eq!(a.steps, b.steps, "seed {seed}");
         assert_eq!(a.steals, b.steals, "seed {seed}");

@@ -1,16 +1,17 @@
 //! Query-matrix and filter-soundness tests.
 //!
 //! Three pinned labeled queries run over the labeled golden BA graph
-//! under whatever `GRAMER_SCHEDULER` / `GRAMER_ACCESS_PATH` /
-//! `GRAMER_EPOCH` / `GRAMER_MEMO` combination the tier-1 matrix selects
-//! (`scripts/tier1.sh query` iterates them). For every combination:
+//! under every host-side leg, in-process: the event engine and its heap
+//! oracle × the fast and exact memory access paths × the pair memo off
+//! and on. For every leg:
 //!
 //! - the filtered run's full-size match total must equal the brute
 //!   run's, and both must equal the pinned golden count;
 //! - the filter's probe counters (admitted / probes / rejects) are
-//!   pinned too — they count examined extensions, which every matrix
-//!   leg produces identically (the same property the golden timing
-//!   suite relies on);
+//!   pinned too — they count examined extensions, which every leg
+//!   produces identically (the same property the golden timing suite
+//!   relies on);
+//! - legs with the same memo setting produce identical reports;
 //! - at the mining layer the exact embedding vertex-sets are compared,
 //!   not just totals, against both the unfiltered enumerator and an
 //!   independent candidate-join matcher.
@@ -19,30 +20,12 @@
 //! labeled graphs × random connected queries each; every failure
 //! message carries the case seed.
 
-use gramer_suite::gramer::{preprocess, GramerConfig, Simulator};
+use gramer_suite::gramer::{preprocess, AccessPath, GramerConfig, MemoMode, RunReport, Simulator};
 use gramer_suite::gramer_graph::{generate, CsrGraph};
 use gramer_suite::gramer_mining::query::{enumerate_matches, match_query};
 use gramer_suite::gramer_mining::{CandidateFilter, CandidateSets, NoFilter, QueryApp, QueryGraph};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// Matrix-aware config, mirroring `tests/golden.rs::base_config`.
-fn base_config() -> GramerConfig {
-    let mut cfg = GramerConfig::default();
-    if let Ok(s) = std::env::var("GRAMER_SCHEDULER") {
-        cfg.scheduler = s.parse().expect("GRAMER_SCHEDULER must be calendar|heap");
-    }
-    if let Ok(s) = std::env::var("GRAMER_ACCESS_PATH") {
-        cfg.access_path = s.parse().expect("GRAMER_ACCESS_PATH must be fast|exact");
-    }
-    if let Ok(s) = std::env::var("GRAMER_EPOCH") {
-        cfg.epoch = s.parse().expect("GRAMER_EPOCH must be on|off");
-    }
-    if let Ok(s) = std::env::var("GRAMER_MEMO") {
-        cfg.memo = s.parse().expect("GRAMER_MEMO must be on|off|BYTES");
-    }
-    cfg
-}
 
 /// The labeled golden graph: BA(200, 3) seed 11 — the same topology the
 /// golden timing suite pins — with labels drawn from `1..=6`, seed 3.
@@ -52,7 +35,7 @@ fn labeled_ba() -> CsrGraph {
 
 /// One pinned query: the compact spec plus the expected full-size match
 /// total and filter counters. The counters count examined extensions,
-/// which are identical across every matrix leg.
+/// which are identical across every leg.
 struct PinnedQuery {
     spec: &'static str,
     matches: u64,
@@ -93,47 +76,67 @@ fn canonical(mut sets: Vec<Vec<u32>>) -> Vec<Vec<u32>> {
     sets
 }
 
+/// Brute and filtered runs of `app` on one leg: the product engine or,
+/// with `oracle`, its heap-oracle twin.
+fn brute_and_filtered(sim: &Simulator, app: &QueryApp, oracle: bool) -> (RunReport, RunReport) {
+    if oracle {
+        (
+            sim.run_oracle(app).unwrap(),
+            sim.run_query_oracle(app).unwrap(),
+        )
+    } else {
+        (sim.run(app).unwrap(), sim.run_query(app).unwrap())
+    }
+}
+
 #[test]
 fn pinned_queries_hold_across_the_matrix() {
     let graph = labeled_ba();
-    let cfg = base_config();
-    let pre = preprocess(&graph, &cfg).unwrap();
+    let pre = preprocess(&graph, &GramerConfig::default()).unwrap();
     for pq in PINNED {
         let query = QueryGraph::from_spec(pq.spec).unwrap();
         let k = query.num_vertices();
         let app = QueryApp::new(query).unwrap();
-        let brute = Simulator::new(&pre, cfg.clone())
-            .unwrap()
-            .run(&app)
-            .unwrap();
-        let filtered = Simulator::new(&pre, cfg.clone())
-            .unwrap()
-            .run_query(&app)
-            .unwrap();
-        assert_eq!(
-            filtered.result.total_at(k),
-            brute.result.total_at(k),
-            "{}: filtered diverged from brute",
-            pq.spec
-        );
-        assert_eq!(
-            filtered.result.total_at(k),
-            pq.matches,
-            "{}: match total moved off the golden value",
-            pq.spec
-        );
-        assert!(
-            brute.query.is_none(),
-            "{}: brute run grew query stats",
-            pq.spec
-        );
-        let q = filtered.query.expect("filtered run must carry query stats");
-        assert_eq!(
-            (q.admitted, q.probes, q.rejects),
-            (pq.admitted, pq.probes, pq.rejects),
-            "{}: filter counters moved off the golden values",
-            pq.spec
-        );
+        for memo in [MemoMode::Off, MemoMode::On { bytes: 1 << 16 }] {
+            let mut reference: Option<String> = None;
+            for access_path in [AccessPath::Fast, AccessPath::Exact] {
+                for oracle in [false, true] {
+                    let leg = format!(
+                        "{} [oracle={oracle} {access_path:?} memo={memo:?}]",
+                        pq.spec
+                    );
+                    let cfg = GramerConfig {
+                        access_path,
+                        memo,
+                        ..GramerConfig::default()
+                    };
+                    let sim = Simulator::new(&pre, cfg).unwrap();
+                    let (brute, filtered) = brute_and_filtered(&sim, &app, oracle);
+                    assert_eq!(
+                        filtered.result.total_at(k),
+                        brute.result.total_at(k),
+                        "{leg}: filtered diverged from brute"
+                    );
+                    assert_eq!(
+                        filtered.result.total_at(k),
+                        pq.matches,
+                        "{leg}: match total moved off the golden value"
+                    );
+                    assert!(brute.query.is_none(), "{leg}: brute run grew query stats");
+                    let q = filtered.query.expect("filtered run must carry query stats");
+                    assert_eq!(
+                        (q.admitted, q.probes, q.rejects),
+                        (pq.admitted, pq.probes, pq.rejects),
+                        "{leg}: filter counters moved off the golden values"
+                    );
+                    let view = format!("{}\n{}", brute.to_json_value(), filtered.to_json_value());
+                    match &reference {
+                        None => reference = Some(view),
+                        Some(r) => assert_eq!(r, &view, "{leg}: reports diverged across legs"),
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -142,8 +145,7 @@ fn pinned_queries_filtered_embeddings_are_bit_identical() {
     // Mining-layer check on the reordered graph the simulator actually
     // mines: exact vertex-sets, three independent implementations.
     let graph = labeled_ba();
-    let cfg = base_config();
-    let pre = preprocess(&graph, &cfg).unwrap();
+    let pre = preprocess(&graph, &GramerConfig::default()).unwrap();
     for pq in PINNED {
         let query = QueryGraph::from_spec(pq.spec).unwrap();
         let app = QueryApp::new(query.clone()).unwrap();

@@ -7,10 +7,10 @@
 //!    unobserved run, on every golden workload.
 //! 2. **The telemetry document is simulated data** — for a fixed seeded
 //!    workload, the JSON document (minus its explicitly host-side
-//!    `"host"` section) is byte-stable across the host-side scheduler ×
-//!    access-path matrix, exactly like the golden run reports. The
-//!    tier-1 matrix (`scripts/tier1.sh golden`) re-runs this suite under
-//!    all four `GRAMER_SCHEDULER` × `GRAMER_ACCESS_PATH` cells.
+//!    `"host"` section) is byte-stable across the host-side legs — the
+//!    event engine and its heap oracle × the fast and exact memory access
+//!    paths — exactly like the golden run reports. Every leg runs
+//!    in-process.
 //!
 //! As with `tests/golden.rs`: if a simulator change moves the pinned
 //! digest, that is a semantics change and the constant must be updated
@@ -18,26 +18,11 @@
 
 use gramer::json::JsonValue;
 use gramer::telemetry::{Telemetry, TelemetryConfig};
-use gramer::{preprocess, GramerConfig, RunReport, Simulator};
+use gramer::{preprocess, AccessPath, GramerConfig, RunReport, Simulator};
 use gramer_graph::generate::{self, RmatParams};
 use gramer_graph::CsrGraph;
 use gramer_mining::apps::{CliqueFinding, MotifCounting};
 use gramer_mining::EcmApp;
-
-/// Same env-driven matrix hook as `tests/golden.rs`.
-fn base_config() -> GramerConfig {
-    let mut cfg = GramerConfig::default();
-    if let Ok(s) = std::env::var("GRAMER_SCHEDULER") {
-        cfg.scheduler = s.parse().expect("GRAMER_SCHEDULER must be calendar|heap");
-    }
-    if let Ok(s) = std::env::var("GRAMER_ACCESS_PATH") {
-        cfg.access_path = s.parse().expect("GRAMER_ACCESS_PATH must be fast|exact");
-    }
-    if let Ok(s) = std::env::var("GRAMER_EPOCH") {
-        cfg.epoch = s.parse().expect("GRAMER_EPOCH must be on|off");
-    }
-    cfg
-}
 
 fn ba_graph() -> CsrGraph {
     generate::barabasi_albert(200, 3, 11)
@@ -57,17 +42,49 @@ fn rmat_graph() -> CsrGraph {
     )
 }
 
+/// Every host-side leg: (`access_path`, heap oracle instead of the
+/// event engine).
+const LEGS: [(AccessPath, bool); 4] = [
+    (AccessPath::Fast, false),
+    (AccessPath::Fast, true),
+    (AccessPath::Exact, false),
+    (AccessPath::Exact, true),
+];
+
+/// An unobserved and an observed run of `app` on one leg.
+fn run_both_on<A: EcmApp>(
+    graph: &CsrGraph,
+    app: &A,
+    cfg: &GramerConfig,
+    oracle: bool,
+) -> (RunReport, RunReport, Telemetry) {
+    let pre = preprocess(graph, cfg).unwrap();
+    let sim = Simulator::new(&pre, cfg.clone()).unwrap();
+    let mut tel = Telemetry::new(TelemetryConfig::default());
+    if oracle {
+        let plain = sim.run_oracle(app).unwrap();
+        let observed = sim.run_telemetry_oracle(app, &mut tel).unwrap();
+        (plain, observed, tel)
+    } else {
+        let plain = sim.run(app).unwrap();
+        let observed = sim.run_telemetry(app, &mut tel).unwrap();
+        (plain, observed, tel)
+    }
+}
+
 fn run_both<A: EcmApp>(
     graph: &CsrGraph,
     app: &A,
     cfg: &GramerConfig,
 ) -> (RunReport, RunReport, Telemetry) {
-    let pre = preprocess(graph, cfg).unwrap();
-    let sim = Simulator::new(&pre, cfg.clone()).unwrap();
-    let plain = sim.run(app).unwrap();
-    let mut tel = Telemetry::new(TelemetryConfig::default());
-    let observed = sim.run_telemetry(app, &mut tel).unwrap();
-    (plain, observed, tel)
+    run_both_on(graph, app, cfg, false)
+}
+
+fn leg_config(access_path: AccessPath) -> GramerConfig {
+    GramerConfig {
+        access_path,
+        ..GramerConfig::default()
+    }
 }
 
 /// Every simulated quantity of a report, as one comparable string
@@ -92,30 +109,33 @@ fn semantic_view(r: &RunReport) -> String {
     )
 }
 
-/// Recording telemetry must not change any simulated quantity, under
-/// any cell of the scheduler × access-path matrix.
+/// Recording telemetry must not change any simulated quantity, on any
+/// leg.
 #[test]
 fn telemetry_never_perturbs_the_simulation() {
-    let cfg = base_config();
+    for (access_path, oracle) in LEGS {
+        let cfg = leg_config(access_path);
+        let leg = format!("[{access_path:?} oracle={oracle}]");
 
-    let (plain, observed, _) = run_both(&ba_graph(), &CliqueFinding::new(4).unwrap(), &cfg);
-    assert_eq!(
-        semantic_view(&plain),
-        semantic_view(&observed),
-        "BA(200,3) x CF(4): telemetry perturbed the simulation"
-    );
+        let ba = run_both_on(&ba_graph(), &CliqueFinding::new(4).unwrap(), &cfg, oracle);
+        assert_eq!(
+            semantic_view(&ba.0),
+            semantic_view(&ba.1),
+            "BA(200,3) x CF(4) {leg}: telemetry perturbed the simulation"
+        );
 
-    let (plain, observed, _) = run_both(&rmat_graph(), &MotifCounting::new(3).unwrap(), &cfg);
-    assert_eq!(
-        semantic_view(&plain),
-        semantic_view(&observed),
-        "R-MAT(2^8) x MC(3): telemetry perturbed the simulation"
-    );
+        let rmat = run_both_on(&rmat_graph(), &MotifCounting::new(3).unwrap(), &cfg, oracle);
+        assert_eq!(
+            semantic_view(&rmat.0),
+            semantic_view(&rmat.1),
+            "R-MAT(2^8) x MC(3) {leg}: telemetry perturbed the simulation"
+        );
+    }
 }
 
 /// Removes the top-level `"host"` section — the only part of the
 /// document that is allowed to depend on host-side choices (fast-lane
-/// tallies vary with `--access-path`).
+/// tallies vary with the access path).
 fn strip_host(doc: JsonValue) -> JsonValue {
     match doc {
         JsonValue::Object(pairs) => {
@@ -137,8 +157,8 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// Digest of the simulated portion of the telemetry document for
-/// BA(200,3) × CF(4) at the default window width. Must hold under all
-/// four scheduler × access-path cells.
+/// BA(200,3) × CF(4) at the default window width. Must hold on every
+/// leg.
 ///
 /// Updated for schema v2 (PR 9): the document gained the memo counters
 /// (`memo_hits`/`memo_misses`/`memo_evictions`), the adaptive-policy
@@ -156,7 +176,18 @@ const GOLDEN_BA_CF4_DRAM: u64 = 249;
 
 #[test]
 fn telemetry_document_is_byte_stable_across_host_choices() {
-    let (_, observed, tel) = run_both(&ba_graph(), &CliqueFinding::new(4).unwrap(), &base_config());
+    for (access_path, oracle) in LEGS {
+        check_pinned_document(access_path, oracle);
+    }
+}
+
+fn check_pinned_document(access_path: AccessPath, oracle: bool) {
+    let (_, observed, tel) = run_both_on(
+        &ba_graph(),
+        &CliqueFinding::new(4).unwrap(),
+        &leg_config(access_path),
+        oracle,
+    );
     let doc = strip_host(tel.to_json_value());
     let text = doc.to_string_pretty();
 
@@ -189,8 +220,8 @@ fn telemetry_document_is_byte_stable_across_host_choices() {
     assert_eq!(
         fnv1a(text.as_bytes()),
         GOLDEN_BA_CF4_TELEMETRY_FNV,
-        "telemetry document drifted; if the simulator semantics \
-         legitimately changed, update the digest and say why"
+        "[{access_path:?} oracle={oracle}] telemetry document drifted; if the \
+         simulator semantics legitimately changed, update the digest and say why"
     );
 }
 
@@ -198,7 +229,11 @@ fn telemetry_document_is_byte_stable_across_host_choices() {
 /// self-consistent: window sums equal the run totals.
 #[test]
 fn telemetry_windows_sum_to_totals() {
-    let (_, observed, tel) = run_both(&ba_graph(), &CliqueFinding::new(4).unwrap(), &base_config());
+    let (_, observed, tel) = run_both(
+        &ba_graph(),
+        &CliqueFinding::new(4).unwrap(),
+        &GramerConfig::default(),
+    );
     let doc = tel.to_json_value();
     let windows = match doc.get("windows") {
         Some(JsonValue::Array(w)) => w.clone(),
@@ -247,7 +282,7 @@ fn telemetry_windows_sum_to_totals() {
 /// totals on any run long enough to coalesce.
 #[test]
 fn telemetry_windows_sum_to_totals_with_coalescing() {
-    let cfg = base_config();
+    let cfg = GramerConfig::default();
     let pre = preprocess(&ba_graph(), &cfg).unwrap();
     let sim = Simulator::new(&pre, cfg).unwrap();
     let app = CliqueFinding::new(4).unwrap();
@@ -334,8 +369,10 @@ fn telemetry_windows_sum_to_totals_with_coalescing() {
 /// unobserved memoized run.
 #[test]
 fn telemetry_records_memo_counters() {
-    let mut cfg = base_config();
-    cfg.memo = gramer::MemoMode::On { bytes: 1 << 16 };
+    let cfg = GramerConfig {
+        memo: gramer::MemoMode::On { bytes: 1 << 16 },
+        ..GramerConfig::default()
+    };
     let (plain, observed, tel) = run_both(&ba_graph(), &CliqueFinding::new(4).unwrap(), &cfg);
     assert_eq!(
         semantic_view(&plain),
