@@ -812,6 +812,43 @@ mod tests {
     }
 
     #[test]
+    fn vanished_artifact_cache_degrades_to_uncached_runs() {
+        let _switches = lock_run_gramer_switches();
+        let dir = std::env::temp_dir().join(format!(
+            "gramer-bench-vanishing-cache-{}",
+            std::process::id()
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+        let g = gramer_graph::generate::barabasi_albert(120, 3, 8);
+        let app = CliqueFinding::new(3).expect("valid k");
+        let uncached = run_gramer(&g, &app, GramerConfig::default()).unwrap();
+
+        set_artifact_cache(Some(dir.as_path())).unwrap();
+        let mut sweep = sweep::Sweep::new("vanishing-cache");
+        for (name, delete_first) in [("first", false), ("second", true)] {
+            let (g, app, dir) = (&g, &app, &dir);
+            sweep.point("ba", "3-CF", name, move || {
+                // Between the two points the cache directory vanishes, so
+                // the second point's store has nowhere to go.
+                if delete_first {
+                    std::fs::remove_dir_all(dir).expect("delete the cache directory");
+                }
+                run_gramer(g, app, GramerConfig::default()).map(sweep::PointOutput::from_report)
+            });
+        }
+        let result = sweep.run(1, None);
+        set_artifact_cache(None).unwrap();
+
+        let as_json = |r: &RunReport| r.to_json_value().to_string();
+        for record in &result.records {
+            assert!(record.is_ok(), "{}: {:?}", record.id(), record.error);
+            let report = record.report().expect("live report");
+            assert_eq!(as_json(report), as_json(&uncached), "{}", record.id());
+        }
+        assert!(!dir.exists(), "the vanished directory is not recreated");
+    }
+
+    #[test]
     fn analog_cache_returns_same_graph() {
         let cache = AnalogCache::new();
         let a = cache.get(Dataset::Citeseer) as *const CsrGraph;

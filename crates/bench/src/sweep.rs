@@ -19,27 +19,32 @@
 //!    cancels any point that exceeds its wall-clock budget through the
 //!    cooperative [`gramer::progress`] token (the simulator ticks once per
 //!    scheduled event), recording it as [`PointStatus::TimedOut`];
-//! 5. **journals completions**: each finished point is appended to a
-//!    crash-safe JSONL journal (`results/.journal/<sweep>.jsonl`,
-//!    write-temp-then-rename, fsync'd), so `--resume` can replay completed
-//!    points after a crash or SIGKILL and still emit byte-identical
-//!    `points` data;
+//! 5. **journals completions**: each finished point is appended as one
+//!    line to a crash-safe JSONL journal (`results/.journal/<sweep>.jsonl`,
+//!    a [`gramer::journal`]: append + `sync_data` per point, compaction
+//!    through temp file, fsync, rename and directory fsync on open and
+//!    whenever superseded lines outnumber live ones), so `--resume` can
+//!    replay completed points after a crash or SIGKILL and still emit
+//!    byte-identical `points` data;
 //! 6. re-assembles results in **declaration order** regardless of
 //!    completion order, making the JSON point data byte-identical across
 //!    `--jobs` settings;
 //! 7. logs per-point progress to stderr (stdout stays clean for tables);
-//! 8. writes `results/BENCH_<name>.json` (override with `--json PATH`):
-//!    deterministic point data + a merged summary, with volatile
-//!    host-side timing and peak-RSS metadata quarantined under `"host"`.
+//! 8. writes `results/BENCH_<name>.json` (override with `--json PATH`)
+//!    atomically: deterministic point data + a merged summary, with
+//!    volatile host-side timing and peak-RSS metadata quarantined under
+//!    `"host"`.
 //!
 //! The schema is hand-rolled on [`gramer::json::JsonValue`] and versioned
 //! via `schema_version`; see `EXPERIMENTS.md` for the layout and the
 //! failure semantics (statuses, exit codes, journal format).
 
 use crate::SweepArgs;
+use gramer::journal::Journal;
 use gramer::json::JsonValue;
 use gramer::progress::{self, ProgressToken};
 use gramer::{supervise, ReportSummary, RunReport, SimError};
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Mutex};
@@ -235,48 +240,32 @@ impl PointRecord {
         self.output.report.as_ref()
     }
 
-    /// The deterministic JSON fields of this record, in schema order.
-    fn record_fields(&self) -> Vec<(String, JsonValue)> {
-        record_fields_raw(
-            &self.dataset,
-            &self.app,
-            &self.config,
-            self.status,
-            self.attempts,
-            self.error.as_ref(),
-            &self.output,
-        )
+    /// The deterministic JSON fields of this record, in schema order —
+    /// shared by the artifact's `points` array and the journal lines, so
+    /// a replayed record serializes byte-identically to a fresh one.
+    fn record_fields(&self) -> Vec<(&'static str, JsonValue)> {
+        let error = self.error.as_ref();
+        vec![
+            ("dataset", JsonValue::from(self.dataset.as_str())),
+            ("app", JsonValue::from(self.app.as_str())),
+            ("config", JsonValue::from(self.config.as_str())),
+            ("status", JsonValue::from(self.status.as_str())),
+            ("attempts", JsonValue::from(u64::from(self.attempts))),
+            (
+                "error",
+                error.map_or(JsonValue::Null, PointError::to_json_value),
+            ),
+            ("metrics", JsonValue::Object(self.output.metrics.to_vec())),
+            ("report", self.output.report_json()),
+        ]
     }
-}
 
-/// The deterministic JSON fields of one point, in schema order — shared
-/// by the artifact's `points` array and the journal lines so that a
-/// replayed record serializes byte-identically to a fresh one.
-fn record_fields_raw(
-    dataset: &str,
-    app: &str,
-    config: &str,
-    status: PointStatus,
-    attempts: u32,
-    error: Option<&PointError>,
-    output: &PointOutput,
-) -> Vec<(String, JsonValue)> {
-    vec![
-        ("dataset".to_string(), JsonValue::from(dataset)),
-        ("app".to_string(), JsonValue::from(app)),
-        ("config".to_string(), JsonValue::from(config)),
-        ("status".to_string(), JsonValue::from(status.as_str())),
-        ("attempts".to_string(), JsonValue::from(u64::from(attempts))),
-        (
-            "error".to_string(),
-            error.map_or(JsonValue::Null, PointError::to_json_value),
-        ),
-        (
-            "metrics".to_string(),
-            JsonValue::Object(output.metrics.to_vec()),
-        ),
-        ("report".to_string(), output.report_json()),
-    ]
+    /// The journal line: the record fields after the point id the replay
+    /// keys on.
+    fn journal_entry(&self) -> JsonValue {
+        let id = ("id", JsonValue::from(self.id()));
+        JsonValue::object(std::iter::once(id).chain(self.record_fields()))
+    }
 }
 
 /// Execution options for [`Sweep::run_with`] — the programmatic form of
@@ -415,23 +404,26 @@ impl<'a> Sweep<'a> {
         };
         let started = Instant::now();
 
-        // Journal bookkeeping: load previously completed points when
-        // resuming, and keep the journal handle for appends.
-        let mut journal = opts.journal.as_ref().map(|p| Journal::open(p));
-        let replayed: Vec<Option<PointRecord>> = {
-            let completed = if opts.resume {
-                journal
-                    .as_ref()
-                    .map(Journal::completed_by_id)
-                    .unwrap_or_default()
-            } else {
-                Default::default()
-            };
-            points
-                .iter()
-                .map(|p| completed.get(&p.id()).map(|entry| replay_record(p, entry)))
-                .collect()
+        // Journal bookkeeping: open (and compact) the journal, load
+        // previously completed points when resuming, and keep the
+        // journal for appends.
+        let (mut journal, completed) = match opts.journal.as_ref() {
+            None => (None, HashMap::new()),
+            Some(path) => match Journal::open(path, point_key) {
+                Ok((journal, replayed)) if opts.resume => {
+                    (Some(journal), completed_by_id(replayed.entries))
+                }
+                Ok((journal, _)) => (Some(journal), HashMap::new()),
+                Err(e) => {
+                    eprintln!("[{name}] journal unavailable ({e}); continuing without it");
+                    (None, HashMap::new())
+                }
+            },
         };
+        let replayed: Vec<Option<PointRecord>> = points
+            .iter()
+            .map(|p| completed.get(&p.id()).map(|entry| replay_record(p, entry)))
+            .collect();
 
         // Indices still to run (everything not replayed).
         let todo: Vec<usize> = replayed
@@ -453,9 +445,8 @@ impl<'a> Sweep<'a> {
         // One watch slot per worker: (token, wall-clock deadline).
         let watch_slots: Vec<Mutex<Option<(ProgressToken, Instant)>>> =
             (0..jobs).map(|_| Mutex::new(None)).collect();
-        let (tx, rx) = mpsc::channel::<(usize, Completed)>();
-        let mut outputs: Vec<Option<Completed>> = Vec::new();
-        outputs.resize_with(n_total, || None);
+        let (tx, rx) = mpsc::channel::<(usize, PointRecord)>();
+        let mut records = replayed;
 
         std::thread::scope(|scope| {
             let points = &points;
@@ -470,24 +461,23 @@ impl<'a> Sweep<'a> {
                     if k >= n_todo {
                         break;
                     }
-                    let i = todo[k];
-                    let t0 = Instant::now();
-                    let (status, attempts, error, output) = run_point(
-                        &points[i],
-                        opts.point_timeout,
-                        opts.max_retries,
-                        &watch_slots[w],
-                    );
-                    let completed = Completed {
+                    let (i, t0) = (todo[k], Instant::now());
+                    let point = &points[i];
+                    let (status, attempts, error, output) =
+                        run_point(point, opts.point_timeout, opts.max_retries, &watch_slots[w]);
+                    let record = PointRecord {
+                        dataset: point.dataset.clone(),
+                        app: point.app.clone(),
+                        config: point.config.clone(),
                         output,
                         status,
                         attempts,
                         error,
-                        secs: t0.elapsed().as_secs_f64(),
+                        wall_seconds: t0.elapsed().as_secs_f64(),
                     };
                     // The receiver only disconnects if the collector
                     // panicked; nothing useful to do with the result then.
-                    let _ = tx.send((i, completed));
+                    let _ = tx.send((i, record));
                 });
             }
             drop(tx);
@@ -513,57 +503,34 @@ impl<'a> Sweep<'a> {
             // Collect on this thread so progress lines never interleave
             // and the journal has a single writer.
             let mut done = 0usize;
-            let mut journal_dead = false;
-            while let Ok((i, completed)) = rx.recv() {
+            while let Ok((i, record)) = rx.recv() {
                 done += 1;
-                let state = match completed.status {
+                let state = match record.status {
                     PointStatus::Ok => String::new(),
                     other => format!(", {}", other.as_str()),
                 };
                 eprintln!(
                     "[{name}] {done}/{n_todo} {} ({:.2}s, jobs={jobs}{state})",
-                    points[i].id(),
-                    completed.secs,
+                    record.id(),
+                    record.wall_seconds,
                 );
                 if let Some(j) = journal.as_mut() {
-                    if let Err(e) = j.append(&journal_entry_for(&points[i], &completed)) {
+                    if let Err(e) = j.append(&record.journal_entry()) {
                         eprintln!("[{name}] journal write failed: {e}");
                         // Stop retrying a dead journal (full disk etc.).
-                        journal_dead = true;
+                        journal = None;
                     }
                 }
-                if journal_dead {
-                    journal = None;
-                }
-                outputs[i] = Some(completed);
+                records[i] = Some(record);
             }
             stop_watchdog.store(true, Ordering::Relaxed);
         });
 
-        let records = points
-            .into_iter()
-            .zip(replayed)
-            .zip(outputs)
-            .map(|((p, replay), slot)| match (replay, slot) {
-                (Some(r), _) => r,
-                (None, Some(c)) => PointRecord {
-                    dataset: p.dataset,
-                    app: p.app,
-                    config: p.config,
-                    output: c.output,
-                    status: c.status,
-                    attempts: c.attempts,
-                    error: c.error,
-                    wall_seconds: c.secs,
-                },
-                (None, None) => unreachable!("every queued point sends exactly one result"),
-            })
-            .collect();
-
         SweepResult {
             name,
             jobs,
-            records,
+            // Every slot is filled: replayed, or sent once by a worker.
+            records: records.into_iter().flatten().collect(),
             wall_seconds: started.elapsed().as_secs_f64(),
         }
     }
@@ -575,45 +542,13 @@ impl<'a> Sweep<'a> {
     }
 }
 
-/// A worker's finished point, sent back to the collector thread.
-struct Completed {
-    output: PointOutput,
-    status: PointStatus,
-    attempts: u32,
-    error: Option<PointError>,
-    secs: f64,
-}
-
-/// The journal line for a freshly completed point: the deterministic
-/// record fields plus the point id the replayer keys on.
-fn journal_entry_for(point: &SweepPoint<'_>, c: &Completed) -> JsonValue {
-    let mut fields = vec![("id".to_string(), JsonValue::from(point.id()))];
-    fields.extend(record_fields_raw(
-        &point.dataset,
-        &point.app,
-        &point.config,
-        c.status,
-        c.attempts,
-        c.error.as_ref(),
-        &c.output,
-    ));
-    JsonValue::Object(fields)
-}
-
 /// Replays a journaled completion into a [`PointRecord`].
 fn replay_record(point: &SweepPoint<'_>, entry: &JsonValue) -> PointRecord {
     let metrics = match entry.get("metrics") {
         Some(JsonValue::Object(pairs)) => pairs.clone(),
         _ => Vec::new(),
     };
-    let replayed_report = match entry.get("report") {
-        Some(JsonValue::Null) | None => None,
-        Some(other) => Some(other.clone()),
-    };
-    let attempts = entry
-        .get("attempts")
-        .and_then(JsonValue::as_u64)
-        .unwrap_or(1) as u32;
+    let report = entry.get("report").filter(|r| **r != JsonValue::Null);
     PointRecord {
         dataset: point.dataset.clone(),
         app: point.app.clone(),
@@ -621,10 +556,13 @@ fn replay_record(point: &SweepPoint<'_>, entry: &JsonValue) -> PointRecord {
         output: PointOutput {
             report: None,
             metrics,
-            replayed_report,
+            replayed_report: report.cloned(),
         },
         status: PointStatus::Ok,
-        attempts,
+        attempts: entry
+            .get("attempts")
+            .and_then(JsonValue::as_u64)
+            .unwrap_or(1) as u32,
         error: None,
         wall_seconds: 0.0,
     }
@@ -733,77 +671,23 @@ fn run_point(
 // Checkpoint journal
 // ---------------------------------------------------------------------------
 
-/// A crash-safe JSONL journal of completed sweep points.
-///
-/// Every append rewrites the whole file to a temporary sibling, fsyncs
-/// it, and renames it over the journal — so the journal on disk is always
-/// a complete, well-formed prefix of the sweep, even across SIGKILL.
-/// (Sweeps are at most a few hundred points, so the O(n²) rewrite cost is
-/// noise next to simulation time.)
-struct Journal {
-    path: PathBuf,
-    lines: Vec<String>,
+/// The sweep journal's key: a line's point id.
+fn point_key(entry: &JsonValue) -> Option<String> {
+    entry
+        .get("id")
+        .and_then(JsonValue::as_str)
+        .map(str::to_string)
 }
 
-impl Journal {
-    /// Opens `path`, loading any lines an earlier (possibly killed) run
-    /// left behind. Unreadable files start an empty journal.
-    fn open(path: &Path) -> Journal {
-        let lines = std::fs::read_to_string(path)
-            .map(|text| {
-                text.lines()
-                    .filter(|l| !l.trim().is_empty())
-                    .map(str::to_string)
-                    .collect()
-            })
-            .unwrap_or_default();
-        Journal {
-            path: path.to_path_buf(),
-            lines,
-        }
-    }
-
-    /// Successfully completed entries keyed by point id; when a point
-    /// appears multiple times (a failed run re-attempted later), the
-    /// last entry wins.
-    fn completed_by_id(&self) -> std::collections::HashMap<String, JsonValue> {
-        let mut map = std::collections::HashMap::new();
-        for line in &self.lines {
-            let Ok(entry) = JsonValue::parse(line) else {
-                continue; // torn or corrupt line: ignore
-            };
-            let Some(id) = entry.get("id").and_then(JsonValue::as_str) else {
-                continue;
-            };
-            let ok = entry.get("status").and_then(JsonValue::as_str) == Some("ok");
-            if ok {
-                map.insert(id.to_string(), entry);
-            } else {
-                // A later failure supersedes an earlier success for the
-                // same id (shouldn't happen, but last-wins is the rule).
-                map.remove(id);
-            }
-        }
-        map
-    }
-
-    /// Appends one entry crash-safely (rewrite + fsync + rename).
-    fn append(&mut self, entry: &JsonValue) -> std::io::Result<()> {
-        use std::io::Write;
-        self.lines.push(entry.to_string());
-        if let Some(dir) = self.path.parent() {
-            std::fs::create_dir_all(dir)?;
-        }
-        let tmp = self.path.with_extension("jsonl.tmp");
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            for line in &self.lines {
-                writeln!(f, "{line}")?;
-            }
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, &self.path)
-    }
+/// Successfully completed journal entries keyed by point id. The
+/// journal already resolved each id to its last line, so a point whose
+/// last run failed is absent and runs again.
+fn completed_by_id(entries: Vec<JsonValue>) -> HashMap<String, JsonValue> {
+    entries
+        .into_iter()
+        .filter(|entry| entry.get("status").and_then(JsonValue::as_str) == Some("ok"))
+        .filter_map(|entry| Some((point_key(&entry)?, entry)))
+        .collect()
 }
 
 /// A completed sweep: records in declaration order plus run metadata.
@@ -873,7 +757,7 @@ impl SweepResult {
         JsonValue::array(
             self.records
                 .iter()
-                .map(|r| JsonValue::Object(r.record_fields())),
+                .map(|r| JsonValue::object(r.record_fields())),
         )
     }
 
@@ -912,12 +796,14 @@ impl SweepResult {
         ])
     }
 
-    /// Writes the pretty-printed document, creating parent directories.
+    /// Writes the pretty-printed document, creating parent directories,
+    /// through [`gramer_graph::io::write_atomic`], so a crash never
+    /// leaves a torn artifact.
     pub fn write_json(&self, path: &Path) -> std::io::Result<()> {
         if let Some(dir) = path.parent() {
             std::fs::create_dir_all(dir)?;
         }
-        std::fs::write(path, self.to_json_value().to_string_pretty())
+        gramer_graph::io::write_atomic(path, self.to_json_value().to_string_pretty().as_bytes())
     }
 }
 

@@ -282,21 +282,14 @@ fn resolve_preprocessed(opts: &Options) -> Result<Preprocessed, String> {
 
     if opts.demo {
         let graph = generate::chung_lu(10_000, 40_000, 2.4, 1);
-        if let Some(cache) = &cache {
-            let key = PreprocessCache::graph_key(&graph, &opts.config);
-            if let Some(pre) = cache.load(key, &opts.config) {
-                eprintln!(
-                    "preprocessing: cache hit in {:.1} ms ({})",
-                    t0.elapsed().as_secs_f64() * 1e3,
-                    cache.path(key).display()
-                );
-                return Ok(pre);
-            }
-            let pre = preprocess(&graph, &opts.config).map_err(|e| e.to_string())?;
-            store_best_effort(cache, key, &pre, 0, t0);
-            return Ok(pre);
-        }
-        return preprocess(&graph, &opts.config).map_err(|e| e.to_string());
+        let build = || preprocess(&graph, &opts.config).map_err(|e| e.to_string());
+        let Some(cache) = &cache else {
+            return build();
+        };
+        let key = PreprocessCache::graph_key(&graph, &opts.config);
+        let (pre, hit) = cache.get_or_build_keyed(key, 0, &opts.config, build)?;
+        log_cache(cache, key, hit, "", t0);
+        return Ok(pre);
     }
 
     let path = opts
@@ -308,44 +301,28 @@ fn resolve_preprocessed(opts: &Options) -> Result<Preprocessed, String> {
         let bytes = std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
         let digest = artifact::fnv1a(&bytes);
         let key = PreprocessCache::bytes_key(digest, &opts.config);
-        if let Some(pre) = cache.load(key, &opts.config) {
-            eprintln!(
-                "preprocessing: cache hit in {:.1} ms, parse + preprocess skipped ({})",
-                t0.elapsed().as_secs_f64() * 1e3,
-                cache.path(key).display()
-            );
-            return Ok(pre);
-        }
-        let graph =
-            io::read_edge_list(&bytes[..]).map_err(|e| format!("cannot load {path}: {e}"))?;
-        let pre = preprocess(&graph, &opts.config).map_err(|e| e.to_string())?;
-        store_best_effort(cache, key, &pre, digest, t0);
+        let (pre, hit) = cache.get_or_build_keyed(key, digest, &opts.config, || {
+            let graph =
+                io::read_edge_list(&bytes[..]).map_err(|e| format!("cannot load {path}: {e}"))?;
+            preprocess(&graph, &opts.config).map_err(|e| e.to_string())
+        })?;
+        log_cache(cache, key, hit, ", parse + preprocess skipped", t0);
         return Ok(pre);
     }
     let graph = io::read_edge_list_file(path).map_err(|e| format!("cannot load {path}: {e}"))?;
     preprocess(&graph, &opts.config).map_err(|e| e.to_string())
 }
 
-/// Stores a fresh cache entry, downgrading failure to a warning — the
-/// result in hand is correct either way.
-fn store_best_effort(
-    cache: &PreprocessCache,
-    key: u64,
-    pre: &Preprocessed,
-    source_digest: u64,
-    t0: Instant,
-) {
-    match cache.store(key, pre, source_digest) {
-        Ok(()) => eprintln!(
-            "preprocessing: cache miss, built in {:.1} ms ({})",
-            t0.elapsed().as_secs_f64() * 1e3,
-            cache.path(key).display()
-        ),
-        Err(e) => eprintln!(
-            "warning: could not store cache entry at {} ({e}); continuing uncached",
-            cache.path(key).display()
-        ),
-    }
+/// The stderr line saying how the cache served `key` (a failed store
+/// has already warned, inside the cache).
+fn log_cache(cache: &PreprocessCache, key: u64, hit: bool, hit_note: &str, t0: Instant) {
+    eprintln!(
+        "preprocessing: cache {} in {:.1} ms{} ({})",
+        if hit { "hit" } else { "miss, built" },
+        t0.elapsed().as_secs_f64() * 1e3,
+        if hit { hit_note } else { "" },
+        cache.path(key).display()
+    );
 }
 
 /// Parses one application spec (`3-cf`, `4-mc`, `fsm:100`, …) and runs it

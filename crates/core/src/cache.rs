@@ -21,6 +21,7 @@ use crate::error::SimError;
 use crate::preprocess::{preprocess, Preprocessed};
 use gramer_graph::{artifact, io, CsrGraph, GraphArtifact};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// A directory of memoized preprocessing results, one `.gra` artifact
 /// per *(source, knobs)* key.
@@ -141,26 +142,52 @@ impl PreprocessCache {
             .map_err(SimError::Graph)
     }
 
-    /// Memoized [`preprocess`]: returns the cached result when the
-    /// *(graph, knobs)* key hits, otherwise preprocesses, stores and
-    /// returns. The boolean is `true` on a cache hit.
+    /// Memoized [`preprocess`] of an in-memory graph under
+    /// [`graph_key`](PreprocessCache::graph_key); see
+    /// [`get_or_build_keyed`](PreprocessCache::get_or_build_keyed).
     ///
     /// # Errors
     ///
-    /// The errors of [`preprocess`] plus [`SimError::Graph`] if storing
-    /// the fresh entry fails. A corrupt existing entry is never an
-    /// error — it is rebuilt.
+    /// The errors of [`preprocess`].
     pub fn get_or_build(
         &self,
         graph: &CsrGraph,
         config: &GramerConfig,
     ) -> Result<(Preprocessed, bool), SimError> {
         let key = Self::graph_key(graph, config);
+        self.get_or_build_keyed(key, 0, config, || {
+            preprocess(graph, config).map_err(SimError::Config)
+        })
+    }
+
+    /// The entry for `key` if it loads (`true`), else `build()`'s result
+    /// stored under `key` (`false`). Cache trouble only costs time: a
+    /// corrupt entry is rebuilt, and a failed store (say, the directory
+    /// vanished mid-sweep) warns once per process and still returns the
+    /// fresh result.
+    ///
+    /// # Errors
+    ///
+    /// Only the errors of `build`.
+    pub fn get_or_build_keyed<E>(
+        &self,
+        key: u64,
+        source_digest: u64,
+        config: &GramerConfig,
+        build: impl FnOnce() -> Result<Preprocessed, E>,
+    ) -> Result<(Preprocessed, bool), E> {
+        static STORE_WARNED: AtomicBool = AtomicBool::new(false);
         if let Some(pre) = self.load(key, config) {
             return Ok((pre, true));
         }
-        let pre = preprocess(graph, config).map_err(SimError::Config)?;
-        self.store(key, &pre, 0)?;
+        let pre = build()?;
+        match self.store(key, &pre, source_digest) {
+            Err(e) if !STORE_WARNED.swap(true, Ordering::Relaxed) => eprintln!(
+                "warning: could not store cache entry at {} ({e}); continuing uncached",
+                self.path(key).display()
+            ),
+            _ => {}
+        }
         Ok((pre, false))
     }
 }

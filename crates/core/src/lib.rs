@@ -59,6 +59,7 @@ mod sim;
 
 pub mod area;
 pub mod error;
+pub mod journal;
 pub mod json;
 pub mod pipeline;
 pub mod progress;

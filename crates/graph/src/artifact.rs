@@ -59,7 +59,6 @@ use crate::error::GraphError;
 use crate::on1;
 use crate::reorder::Reordered;
 use std::borrow::Cow;
-use std::io::Write;
 use std::path::Path;
 
 /// Magic bytes at offset 0 of every `.gra` file ("GRAMER Artifact
@@ -302,48 +301,18 @@ pub fn encode(contents: &ArtifactContents<'_>) -> Result<Vec<u8>, GraphError> {
     Ok(buf)
 }
 
-/// Serializes `contents` and writes it to `path` atomically
-/// (write-temp, fsync, rename) so concurrent readers never observe a
-/// partially written artifact.
-///
-/// The temporary name carries a *(pid, per-process counter)* suffix, so
-/// concurrent writers — two cache-filling threads in one process, or two
-/// processes racing on the same cache entry — each write their own
-/// private temp file and the last rename wins. Readers therefore always
-/// see either the old complete file or a new complete file, never an
-/// interleaved torn write.
+/// Serializes `contents` and writes it to `path` through
+/// [`crate::io::write_atomic`], so concurrent readers never observe a
+/// partially written artifact and concurrent writers (two cache-filling
+/// threads, or two processes racing on one cache entry) each write a
+/// private temp file and the last rename wins.
 ///
 /// # Errors
 ///
 /// The input errors of [`encode`] plus [`GraphError::Io`] on any
 /// filesystem failure.
 pub fn write_file(contents: &ArtifactContents<'_>, path: &Path) -> Result<(), GraphError> {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static WRITE_SEQ: AtomicU64 = AtomicU64::new(0);
-    let bytes = encode(contents)?;
-    let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
-    let file_name = path.file_name().ok_or_else(|| {
-        GraphError::invalid(format!("artifact path {} has no file name", path.display()))
-    })?;
-    let mut tmp_name = file_name.to_os_string();
-    tmp_name.push(format!(
-        ".tmp.{}.{}",
-        std::process::id(),
-        WRITE_SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    let tmp = match dir {
-        Some(d) => d.join(&tmp_name),
-        None => std::path::PathBuf::from(&tmp_name),
-    };
-    let mut f = std::fs::File::create(&tmp)?;
-    f.write_all(&bytes)?;
-    f.sync_all()?;
-    drop(f);
-    if let Err(e) = std::fs::rename(&tmp, path) {
-        let _ = std::fs::remove_file(&tmp);
-        return Err(GraphError::Io(e));
-    }
-    Ok(())
+    Ok(crate::io::write_atomic(path, &encode(contents)?)?)
 }
 
 /// A validated, loaded `.gra` artifact.

@@ -3,7 +3,8 @@
 //! The evaluation datasets the paper uses are distributed as whitespace-
 //! separated edge lists with `#` comment lines; this module parses that
 //! format so real downloads can replace the synthetic analogs in
-//! [`crate::datasets`].
+//! [`crate::datasets`]. It also holds [`write_atomic`], the one
+//! crash-safe file replacement every writer in the workspace uses.
 
 use crate::builder::GraphBuilder;
 use crate::csr::{CsrGraph, VertexId};
@@ -215,6 +216,38 @@ pub fn read_binary<R: Read>(mut reader: R) -> Result<CsrGraph, GraphError> {
     b.build()
 }
 
+/// Replaces `path` with `bytes` crash-safely: temp sibling, fsync,
+/// rename, then fsync of the parent directory, without which POSIX does
+/// not make the rename durable. Readers see the old or the new file,
+/// never a mix; the *(pid, per-process counter)* temp suffix keeps
+/// concurrent writers apart (the last rename wins).
+///
+/// # Errors
+///
+/// Any I/O error. One before the rename removes the temp file and
+/// leaves `path` as it was.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    static WRITE_SEQ: AtomicU64 = AtomicU64::new(0);
+    let name = path.file_name().ok_or(std::io::ErrorKind::InvalidInput)?;
+    let dir = match path.parent() {
+        Some(d) if !d.as_os_str().is_empty() => d,
+        _ => Path::new("."),
+    };
+    let seq = WRITE_SEQ.fetch_add(1, Ordering::Relaxed);
+    let mut tmp = name.to_os_string();
+    tmp.push(format!(".tmp.{}.{seq}", std::process::id()));
+    let tmp = dir.join(tmp);
+    let replaced = std::fs::File::create(&tmp)
+        .and_then(|mut f| f.write_all(bytes).and_then(|()| f.sync_all()))
+        .and_then(|()| std::fs::rename(&tmp, path));
+    if let Err(e) = replaced {
+        let _ = std::fs::remove_file(&tmp);
+        return Err(e);
+    }
+    std::fs::File::open(dir)?.sync_all()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -386,5 +419,24 @@ mod tests {
                 Err(other) => panic!("round {round}: unexpected error {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn write_atomic_replaces_whole_files_and_leaves_no_temp() {
+        let dir = std::env::temp_dir().join(format!("gramer-write-atomic-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("out.txt");
+        write_atomic(&path, b"first\n").unwrap();
+        write_atomic(&path, b"second\n").unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), b"second\n");
+        // A missing parent fails cleanly and leaves nothing behind.
+        assert!(write_atomic(&dir.join("gone").join("x"), b"x").is_err());
+        let names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        assert_eq!(names, ["out.txt"]);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -15,8 +15,8 @@
 //! instead of racing the bind. `--chaos` enables deterministic fault
 //! injection (`panic=50,io=100,delay=200,delay-ms=25,seed=7`, rates per
 //! mille) for robustness testing. SIGTERM (and SIGINT) trigger a
-//! graceful drain: in-flight jobs finish, the journal is flushed, then
-//! the process exits 0.
+//! graceful drain: in-flight jobs finish (each transition is already
+//! journaled), then the process exits 0.
 //!
 //! Client mode (used by the tier-1 serve stage; no curl needed):
 //!
@@ -36,6 +36,7 @@ use gramer::json::JsonValue;
 use gramer_serve::http;
 use gramer_serve::server::{Server, ServerConfig};
 use gramer_serve::ChaosConfig;
+use std::path::Path;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
@@ -161,9 +162,7 @@ fn daemon_main(args: &[String]) -> ExitCode {
     if let Some(path) = &addr_file {
         // Atomic publish: scripts poll for the file, so it must never be
         // observed half-written.
-        let tmp = format!("{path}.tmp.{}", std::process::id());
-        let write =
-            std::fs::write(&tmp, format!("{addr}\n")).and_then(|()| std::fs::rename(&tmp, path));
+        let write = gramer_graph::io::write_atomic(Path::new(path), format!("{addr}\n").as_bytes());
         if let Err(e) = write {
             eprintln!("gramer-serve: cannot write --addr-file {path}: {e}");
             return ExitCode::FAILURE;
@@ -189,7 +188,7 @@ fn daemon_main(args: &[String]) -> ExitCode {
     let _ = watcher.join();
     match result {
         Ok(()) => {
-            eprintln!("gramer-serve: drained, journal flushed, exiting");
+            eprintln!("gramer-serve: drained, exiting");
             ExitCode::SUCCESS
         }
         Err(e) => {

@@ -1,32 +1,17 @@
-//! Crash-safe JSONL job journal.
-//!
-//! The daemon's only durable state is one JSONL file: each line is the
-//! latest [`JobRecord`] snapshot for one job (JSON from
-//! [`JobRecord::to_json_value`]). On every state change the supervisor
-//! rewrites the whole file through a temp file, fsyncs it, and renames
-//! it into place — the same temp+fsync+rename discipline as the `.gra`
-//! artifact writer — so a crash at any instant leaves either the old
-//! journal or the new one, never a torn mix.
-//!
-//! Replay is forgiving by design: a torn or corrupt line (the crash may
-//! have happened mid-write under an older append-style journal, or the
-//! file may have been hand-edited) is skipped, not fatal, and when a job
-//! id appears on multiple lines the last structurally valid one wins.
-//! Terminal records are restored as-is — completed results survive a
-//! restart byte-for-byte — while `queued`/`running` records are returned
-//! for the supervisor to re-enqueue: a job that was mid-flight when the
-//! daemon died runs again rather than being silently lost.
+//! The job journal's record adapter: [`JobRecord`] ↔ the lines of the
+//! daemon's [`gramer::journal`], which owns the file (append,
+//! compaction, crash safety). A line is valid when it parses back into
+//! a [`JobRecord`]; the last valid line per job wins. Terminal records
+//! are restored as-is — completed results survive a restart
+//! byte-for-byte — while `queued`/`running` ones are returned for
+//! re-enqueueing, so a job that was mid-flight when the daemon died
+//! runs again rather than being silently lost.
 
 use crate::job::{JobRecord, JobStatus};
+use gramer::journal::{self, Replayed};
 use gramer::json::JsonValue;
-use std::fs::{self, File};
-use std::io::{self, Write};
-use std::path::{Path, PathBuf};
-
-/// A journal bound to one file path.
-pub struct JobJournal {
-    path: PathBuf,
-}
+use std::io;
+use std::path::Path;
 
 /// The outcome of replaying a journal at startup.
 #[derive(Debug, Default)]
@@ -40,98 +25,46 @@ pub struct Replay {
     pub skipped_lines: usize,
 }
 
-impl JobJournal {
-    /// Binds the journal to `path` (the file need not exist yet).
-    pub fn new(path: impl Into<PathBuf>) -> JobJournal {
-        JobJournal { path: path.into() }
-    }
-
-    /// The journal file path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Reads the journal and reconstructs job state, tolerating torn
-    /// trailing lines and duplicate ids (last valid line wins).
-    ///
-    /// A missing file is an empty journal, not an error.
+impl Replay {
+    /// Reads the job journal at `path` without modifying it (a missing
+    /// file is an empty journal).
     ///
     /// # Errors
     ///
-    /// Only real I/O errors (permission, hardware); corruption is
-    /// reported via [`Replay::skipped_lines`] instead.
-    pub fn replay(&self) -> io::Result<Replay> {
-        let text = match fs::read_to_string(&self.path) {
-            Ok(text) => text,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => String::new(),
-            Err(e) => return Err(e),
-        };
-        let mut latest: std::collections::BTreeMap<u64, JobRecord> =
-            std::collections::BTreeMap::new();
-        let mut skipped = 0usize;
-        for line in text.lines() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let record = JsonValue::parse(line)
-                .ok()
-                .and_then(|v| JobRecord::from_json(&v));
-            match record {
-                Some(rec) => {
-                    latest.insert(rec.id, rec);
-                }
-                None => skipped += 1,
-            }
-        }
+    /// Only real I/O errors; corruption is reported via
+    /// [`Replay::skipped_lines`] instead.
+    pub fn read(path: &Path) -> io::Result<Replay> {
+        Ok(Replay::from(journal::read(path, record_key)?))
+    }
+}
+
+impl From<Replayed> for Replay {
+    fn from(replayed: Replayed) -> Replay {
+        let mut records: Vec<JobRecord> = replayed
+            .entries
+            .iter()
+            .filter_map(JobRecord::from_json)
+            .collect();
+        records.sort_by_key(|rec| rec.id);
         let mut replay = Replay {
-            skipped_lines: skipped,
+            skipped_lines: replayed.skipped_lines,
             ..Replay::default()
         };
-        for (_, mut rec) in latest {
+        for mut rec in records {
             if !rec.status.is_terminal() {
                 rec.status = JobStatus::Queued;
                 replay.requeued.push(rec.id);
             }
             replay.records.push(rec);
         }
-        Ok(replay)
+        replay
     }
+}
 
-    /// Atomically replaces the journal with one snapshot line per
-    /// record (callers pass records in id order for a readable file).
-    ///
-    /// # Errors
-    ///
-    /// Any I/O error from the write, fsync, or rename; on error the
-    /// previous journal file is left untouched.
-    pub fn write_snapshot<'a>(
-        &self,
-        records: impl IntoIterator<Item = &'a JobRecord>,
-    ) -> io::Result<()> {
-        if let Some(parent) = self.path.parent() {
-            if !parent.as_os_str().is_empty() {
-                fs::create_dir_all(parent)?;
-            }
-        }
-        let mut tmp = self.path.as_os_str().to_owned();
-        tmp.push(format!(".tmp.{}", std::process::id()));
-        let tmp = PathBuf::from(tmp);
-        let mut file = File::create(&tmp)?;
-        for rec in records {
-            let line = rec.to_json_value().to_string();
-            file.write_all(line.as_bytes())?;
-            file.write_all(b"\n")?;
-        }
-        file.sync_all()?;
-        drop(file);
-        match fs::rename(&tmp, &self.path) {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                let _ = fs::remove_file(&tmp);
-                Err(e)
-            }
-        }
-    }
+/// A journal line's key: the job id, when the line is a structurally
+/// valid [`JobRecord`].
+pub fn record_key(line: &JsonValue) -> Option<String> {
+    JobRecord::from_json(line).map(|rec| rec.id.to_string())
 }
 
 #[cfg(test)]
@@ -143,17 +76,14 @@ mod tests {
         JsonValue::parse("{\"graph\": {\"gen\": \"demo\"}, \"app\": \"3-cf\"}").expect("json")
     }
 
-    fn temp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("gramer-journal-{tag}-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).expect("create temp dir");
-        dir
-    }
-
     #[test]
     fn roundtrip_restores_terminal_records_verbatim() {
-        let dir = temp_dir("roundtrip");
-        let journal = JobJournal::new(dir.join("jobs.jsonl"));
+        let dir = std::env::temp_dir().join(format!(
+            "gramer-serve-journal-roundtrip-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let path = dir.join("jobs.jsonl");
         let mut done = JobRecord::new(1, spec(), JobStatus::Queued);
         done.status = JobStatus::Completed;
         done.attempts = 1;
@@ -162,11 +92,13 @@ mod tests {
         dead.status = JobStatus::Panicked;
         dead.error = Some(JobError::new("panic", "kaboom"));
         let inflight = JobRecord::new(3, spec(), JobStatus::Running);
-        journal
-            .write_snapshot([&done, &dead, &inflight])
-            .expect("snapshot");
+        let (mut journal, _) = journal::Journal::open(&path, record_key).expect("open");
+        for rec in [&inflight, &done, &dead] {
+            journal.append(&rec.to_json_value()).expect("append");
+        }
+        drop(journal);
 
-        let replay = journal.replay().expect("replay");
+        let replay = Replay::read(&path).expect("replay");
         assert_eq!(replay.records.len(), 3);
         assert_eq!(replay.skipped_lines, 0);
         assert_eq!(replay.requeued, vec![3]);
@@ -180,52 +112,16 @@ mod tests {
         );
         assert_eq!(replay.records[1].status, JobStatus::Panicked);
         assert_eq!(replay.records[2].status, JobStatus::Queued);
-        let _ = fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn torn_trailing_line_is_skipped_not_fatal() {
-        let dir = temp_dir("torn");
-        let path = dir.join("jobs.jsonl");
-        let journal = JobJournal::new(&path);
-        let mut done = JobRecord::new(1, spec(), JobStatus::Queued);
-        done.status = JobStatus::Completed;
-        journal.write_snapshot([&done]).expect("snapshot");
-        // Simulate an append crash: half a JSON object at the end.
-        let mut text = fs::read_to_string(&path).expect("read");
-        text.push_str("{\"id\": 2, \"status\": \"que");
-        fs::write(&path, text).expect("write");
-
-        let replay = journal.replay().expect("replay");
-        assert_eq!(replay.records.len(), 1);
-        assert_eq!(replay.skipped_lines, 1);
-        assert_eq!(replay.records[0].id, 1);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn missing_file_is_an_empty_journal() {
-        let dir = temp_dir("missing");
-        let journal = JobJournal::new(dir.join("nope.jsonl"));
-        let replay = journal.replay().expect("replay");
-        assert!(replay.records.is_empty());
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn duplicate_ids_resolve_to_the_last_valid_line() {
-        let dir = temp_dir("dup");
-        let path = dir.join("jobs.jsonl");
-        let queued = JobRecord::new(1, spec(), JobStatus::Queued);
-        let mut done = queued.clone();
-        done.status = JobStatus::Completed;
-        // Hand-build an append-style file with both generations.
-        let text = format!("{}\n{}\n", queued.to_json_value(), done.to_json_value());
-        fs::write(&path, text).expect("write");
-        let replay = JobJournal::new(&path).replay().expect("replay");
-        assert_eq!(replay.records.len(), 1);
-        assert_eq!(replay.records[0].status, JobStatus::Completed);
-        assert!(replay.requeued.is_empty());
-        let _ = fs::remove_dir_all(&dir);
+    fn record_key_accepts_only_structurally_valid_records() {
+        let done = JobRecord::new(7, spec(), JobStatus::Completed);
+        assert_eq!(record_key(&done.to_json_value()).as_deref(), Some("7"));
+        // Parses as JSON but carries no spec: replay skips such a line,
+        // so an earlier valid line for the same id keeps winning.
+        let specless = JsonValue::parse("{\"id\": 7, \"status\": \"queued\"}").expect("json");
+        assert_eq!(record_key(&specless), None);
     }
 }

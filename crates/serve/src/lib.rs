@@ -17,8 +17,8 @@
 //!   [`gramer::supervise`]), watchdog cancellation through
 //!   [`gramer::progress`] tokens, retry with exponential backoff, and
 //!   the crash-safe journal;
-//! * [`journal`] — the atomic-rewrite JSONL journal and its forgiving
-//!   replay;
+//! * [`journal`] — the job-record adapter over the append-only
+//!   [`gramer::journal`] and its forgiving replay;
 //! * [`session`] — the shared in-memory LRU cache of preprocessed
 //!   graphs, keyed like [`gramer::PreprocessCache`];
 //! * [`chaos`] — deterministic seeded fault injection (panics, I/O
@@ -46,7 +46,6 @@ pub mod server;
 
 pub use chaos::ChaosConfig;
 pub use job::{JobRecord, JobSpec, JobStatus};
-pub use journal::JobJournal;
 pub use server::{Server, ServerConfig};
 pub use session::SessionCache;
 pub use supervisor::{SubmitError, Supervisor, SupervisorConfig};

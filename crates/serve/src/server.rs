@@ -87,7 +87,7 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Bind failures and journal-read failures.
+    /// Bind failures and journal open (read or compaction) failures.
     pub fn bind(cfg: ServerConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(&cfg.addr)?;
         let supervisor = Supervisor::start(cfg.supervisor)?;
@@ -123,7 +123,8 @@ impl Server {
 
     /// Serves until shutdown is requested (via [`ServerShutdown`] or
     /// `POST /shutdown`), then drains: stops accepting, waits for open
-    /// connections, finishes in-flight jobs, flushes the journal.
+    /// connections, finishes in-flight jobs (whose every transition is
+    /// already journaled).
     ///
     /// # Errors
     ///
@@ -160,7 +161,7 @@ impl Server {
             }
         }
         // Drain: let open connections finish (bounded by the io
-        // timeout), then stop the workers and flush the journal.
+        // timeout), then stop the workers.
         let drain_deadline = std::time::Instant::now() + self.shared.io_timeout;
         while self.shared.active.load(Ordering::Relaxed) > 0
             && std::time::Instant::now() < drain_deadline

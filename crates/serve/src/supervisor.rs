@@ -13,12 +13,12 @@
 //!    (`timed_out`); simulator errors become `failed` with the
 //!    [`gramer::SimError::kind`] tag; over-budget submissions become
 //!    `rejected` records. Nothing is silently dropped.
-//! 3. **State survives restarts.** Each transition is journaled through
-//!    [`crate::journal::JobJournal`]; on start the journal is replayed,
-//!    terminal results are restored verbatim, and interrupted jobs are
-//!    re-queued. A journal *write* failure degrades the daemon to
-//!    in-memory operation (with a stderr warning) rather than failing
-//!    jobs — durability is best-effort, execution is not.
+//! 3. **State survives restarts.** Each transition appends the one
+//!    record that changed to the append-only [`gramer::journal`]; on
+//!    start the journal is replayed, terminal results are restored
+//!    verbatim, and interrupted jobs are re-queued. A failed append
+//!    (counted in `journal_errors`, warned once) never fails a job —
+//!    durability is best-effort, execution is not.
 //! 4. **Back-pressure is explicit.** A full queue rejects new work with
 //!    a typed error the HTTP layer maps to 429; it never blocks the
 //!    accept loop or grows without bound.
@@ -30,8 +30,9 @@
 
 use crate::chaos::{self, ChaosConfig};
 use crate::job::{run_app_spec, GraphSource, JobError, JobRecord, JobSpec, JobStatus};
-use crate::journal::JobJournal;
+use crate::journal::{self, Replay};
 use crate::session::SessionCache;
+use gramer::journal::Journal;
 use gramer::json::JsonValue;
 use gramer::{progress, supervise, Preprocessed, SimError};
 use gramer_graph::{artifact, generate, io};
@@ -124,13 +125,14 @@ struct Watch {
     reason: AtomicU8,
 }
 
-/// Mutable supervisor state under one lock (records + queue share the
-/// lock so admission and journal snapshots are consistent).
+/// Mutable supervisor state under one lock (records, queue and journal
+/// share the lock so journal lines land in transition order).
 struct Jobs {
     records: BTreeMap<u64, JobRecord>,
     queue: VecDeque<u64>,
     next_id: u64,
     shutting_down: bool,
+    journal: Option<Journal>,
 }
 
 #[derive(Default)]
@@ -152,7 +154,6 @@ struct Shared {
     cvar: Condvar,
     session: SessionCache,
     running: Mutex<HashMap<u64, Arc<Watch>>>,
-    journal: Option<JobJournal>,
     counters: Counters,
     stop_watchdog: AtomicBool,
 }
@@ -175,18 +176,22 @@ impl Supervisor {
     ///
     /// # Errors
     ///
-    /// An I/O error reading an existing journal file (corrupt *content*
-    /// is tolerated and skipped, only a failing read aborts startup).
+    /// An I/O error reading the journal file or writing its compacted
+    /// form (corrupt *content* is tolerated and skipped; a journal that
+    /// cannot be read or written at all aborts startup rather than
+    /// silently running without durability).
     pub fn start(cfg: SupervisorConfig) -> std::io::Result<Supervisor> {
-        let journal = cfg.journal_path.clone().map(JobJournal::new);
         let mut jobs = Jobs {
             records: BTreeMap::new(),
             queue: VecDeque::new(),
             next_id: 1,
             shutting_down: false,
+            journal: None,
         };
-        if let Some(journal) = &journal {
-            let replay = journal.replay()?;
+        if let Some(path) = &cfg.journal_path {
+            let (journal, replayed) = Journal::open(path, journal::record_key)?;
+            jobs.journal = Some(journal);
+            let replay = Replay::from(replayed);
             if replay.skipped_lines > 0 {
                 eprintln!(
                     "gramer-serve: journal replay skipped {} corrupt line(s)",
@@ -204,16 +209,10 @@ impl Supervisor {
             jobs: Mutex::new(jobs),
             cvar: Condvar::new(),
             running: Mutex::new(HashMap::new()),
-            journal,
             counters: Counters::default(),
             stop_watchdog: AtomicBool::new(false),
             cfg,
         });
-        // Normalize the journal right away so a replayed `running`
-        // record is durably back to `queued` even if we crash again
-        // before a worker picks it up.
-        shared.persist(&shared.lock_jobs());
-
         let workers = (0..shared.cfg.workers)
             .map(|i| {
                 let shared = Arc::clone(&shared);
@@ -282,7 +281,7 @@ impl Supervisor {
         }
         let snapshot = record.clone();
         jobs.records.insert(id, record);
-        self.shared.persist(&jobs);
+        self.shared.persist(&mut jobs, id);
         drop(jobs);
         self.shared.cvar.notify_one();
         Ok(snapshot)
@@ -419,8 +418,9 @@ impl Supervisor {
     }
 
     /// Graceful shutdown: stop accepting and handing out queued work,
-    /// let in-flight jobs finish, join the pool, flush the journal.
-    /// Queued jobs stay `queued` in the journal for the next start.
+    /// let in-flight jobs finish, join the pool. Every transition is
+    /// already journaled, so queued jobs stay `queued` in the journal
+    /// for the next start.
     pub fn shutdown_and_join(&self) {
         {
             let mut jobs = self.shared.lock_jobs();
@@ -445,8 +445,6 @@ impl Supervisor {
         if let Some(watchdog) = watchdog {
             let _ = watchdog.join();
         }
-        let jobs = self.shared.lock_jobs();
-        self.shared.persist(&jobs);
     }
 }
 
@@ -460,18 +458,19 @@ impl Shared {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// Writes the journal snapshot for the current record set. Journal
-    /// failures degrade to in-memory operation with a warning; they
+    /// Appends record `id`'s current state to the journal. Journal
+    /// failures degrade to best-effort durability with a warning; they
     /// never fail the job.
-    fn persist(&self, jobs: &MutexGuard<'_, Jobs>) {
-        if let Some(journal) = &self.journal {
-            if let Err(e) = journal.write_snapshot(jobs.records.values()) {
-                let n = self.counters.journal_errors.fetch_add(1, Ordering::Relaxed);
-                if n == 0 {
-                    eprintln!(
-                        "gramer-serve: journal write failed ({e}); continuing without durability"
-                    );
-                }
+    fn persist(&self, jobs: &mut Jobs, id: u64) {
+        let (Some(journal), Some(rec)) = (&mut jobs.journal, jobs.records.get(&id)) else {
+            return;
+        };
+        if let Err(e) = journal.append(&rec.to_json_value()) {
+            let n = self.counters.journal_errors.fetch_add(1, Ordering::Relaxed);
+            if n == 0 {
+                eprintln!(
+                    "gramer-serve: journal write failed ({e}); continuing without durability"
+                );
             }
         }
     }
@@ -481,7 +480,7 @@ impl Shared {
         if let Some(rec) = jobs.records.get_mut(&id) {
             f(rec);
         }
-        self.persist(&jobs);
+        self.persist(&mut jobs, id);
     }
 }
 
@@ -920,6 +919,35 @@ mod tests {
         // The daemon keeps serving.
         let next = submit_json(&supervisor, &small_job("3-cf")).expect("submit");
         assert_eq!(wait(&supervisor, next.id).status, JobStatus::Completed);
+        supervisor.shutdown_and_join();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failing_journal_degrades_durability_but_not_jobs() {
+        let dir = std::env::temp_dir().join(format!(
+            "gramer-supervisor-journal-failure-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let journal_path = dir.join("jobs.jsonl");
+        let supervisor = Supervisor::start(SupervisorConfig {
+            workers: 1,
+            journal_path: Some(journal_path.clone()),
+            ..SupervisorConfig::default()
+        })
+        .expect("start");
+        // The journal file turns into a directory: every append fails.
+        std::fs::remove_file(&journal_path).expect("remove journal");
+        std::fs::create_dir(&journal_path).expect("directory in its place");
+        let rec = submit_json(&supervisor, &small_job("3-cf")).expect("still admitted");
+        assert_eq!(wait(&supervisor, rec.id).status, JobStatus::Completed);
+        let errors = supervisor
+            .stats_json()
+            .get("journal_errors")
+            .and_then(JsonValue::as_u64);
+        assert!(errors.is_some_and(|n| n > 0), "{errors:?}");
         supervisor.shutdown_and_join();
         let _ = std::fs::remove_dir_all(&dir);
     }

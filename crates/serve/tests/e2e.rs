@@ -5,7 +5,7 @@
 use gramer::json::JsonValue;
 use gramer_serve::http;
 use gramer_serve::job::run_app_spec;
-use gramer_serve::journal::JobJournal;
+use gramer_serve::journal::Replay;
 use gramer_serve::server::{Server, ServerConfig};
 use gramer_serve::supervisor::SupervisorConfig;
 use gramer_serve::ChaosConfig;
@@ -192,7 +192,7 @@ fn graceful_shutdown_leaves_the_journal_intact() {
     handle.join().expect("drained");
 
     // The journal survives the drain with every job still queued.
-    let replay = JobJournal::new(&journal_path).replay().expect("replay");
+    let replay = Replay::read(&journal_path).expect("replay");
     assert_eq!(replay.skipped_lines, 0, "journal must not be torn");
     assert_eq!(replay.records.len(), ids.len());
     let replayed: Vec<u64> = replay.records.iter().map(|r| r.id).collect();

@@ -29,7 +29,9 @@
 #   serve   gramer-serve daemon end-to-end: both golden workloads over
 #           HTTP byte-identical to gramer-mine --json, injected-panic
 #           containment, queue-full back-pressure, SIGTERM drain with an
-#           intact journal (see docs/DESIGN.md, service architecture)
+#           intact journal, and a kill -9 with queued jobs whose restart
+#           runs them once and whose next restart restores them
+#           byte-identically (see docs/DESIGN.md, service architecture)
 #   all     every stage above (the default)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -147,6 +149,27 @@ wait_addr_file() {
     return 1
 }
 
+# Polls job $3 on the daemon at $2 (binary $1) until it leaves
+# queued/running; prints its status document on stdout.
+wait_job() {
+    local serve="$1" addr="$2" id="$3" doc i
+    for i in $(seq 1 600); do
+        doc="$("$serve" client --addr "$addr" status "$id")"
+        if ! grep -q '"status":[[:space:]]*"\(queued\|running\)"' <<< "$doc"; then
+            echo "$doc"
+            return 0
+        fi
+        sleep 0.1
+    done
+    echo "tier1 serve: job $id never reached a terminal state" >&2
+    return 1
+}
+
+# The first number after "$2": in the JSON document $1.
+json_number() {
+    grep -o "\"$2\":[[:space:]]*[0-9]*" "$1" | head -n1 | grep -o '[0-9]*$'
+}
+
 stage_serve() {
     echo "== tier1: gramer-serve daemon (HTTP parity, panic containment, back-pressure, drain)"
     cargo build --release -q -p gramer -p gramer-serve --bins
@@ -226,6 +249,46 @@ stage_serve() {
     grep -q 'queue_full' "$tmp/full.json"
     "$serve" client --addr "$addr" shutdown > /dev/null
     wait "$pid"
+
+    echo "   -- kill -9 with two queued jobs; the restart runs both from the journal"
+    "$serve" --addr 127.0.0.1:0 --addr-file "$tmp/addr4" --workers 0 \
+        --journal "$tmp/crash.jsonl" 2>> "$tmp/daemon.log" &
+    pid=$!
+    addr="$(wait_addr_file "$tmp/addr4" "$tmp/daemon.log")"
+    for pair in golden-ba:4-cf golden-rmat:3-mc; do
+        w="${pair%%:*}"
+        app="${pair#*:}"
+        "$serve" client --addr "$addr" submit --artifact "$tmp/$w.gra" --app "$app" \
+            > "$tmp/$w.crash.json"
+    done
+    kill -9 "$pid"
+    wait "$pid" 2> /dev/null || true
+
+    local gen
+    for gen in 5 6; do
+        "$serve" --addr 127.0.0.1:0 --addr-file "$tmp/addr$gen" --workers 2 \
+            --journal "$tmp/crash.jsonl" 2>> "$tmp/daemon.log" &
+        pid=$!
+        addr="$(wait_addr_file "$tmp/addr$gen" "$tmp/daemon.log")"
+        for w in golden-ba golden-rmat; do
+            id="$(json_number "$tmp/$w.crash.json" id)"
+            wait_job "$serve" "$addr" "$id" > "$tmp/$w.gen$gen.json"
+            grep -q '"status":[[:space:]]*"completed"' "$tmp/$w.gen$gen.json" || {
+                echo "tier1 serve: replayed job $id did not complete:" >&2
+                cat "$tmp/$w.gen$gen.json" >&2
+                exit 1
+            }
+            "$serve" client --addr "$addr" report "$id" --out "$tmp/$w.gen$gen.report.json"
+            cmp "$tmp/$w.gen$gen.report.json" "$tmp/$w.cli.json"
+            if [ "$gen" = 6 ] && [ "$(json_number "$tmp/$w.gen6.json" attempts)" \
+                != "$(json_number "$tmp/$w.gen5.json" attempts)" ]; then
+                echo "tier1 serve: restored job $id was re-run" >&2
+                exit 1
+            fi
+        done
+        "$serve" client --addr "$addr" shutdown > /dev/null
+        wait "$pid"
+    done
     echo "   -- serve stage green"
 }
 
